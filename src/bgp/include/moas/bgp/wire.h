@@ -4,10 +4,10 @@
 //
 // The simulator itself exchanges in-memory Update objects; this module
 // exists so that (a) the byte-level cost of a MOAS list can be measured
-// honestly (Section 4.3 discusses the size overhead), (b) dumps can be
-// written/read in a real interchange format, and (c) the encoding logic is
-// tested against the RFC's corner cases (extended-length attributes,
-// AS_SET segments, prefix padding).
+// honestly (Section 4.3 discusses the size overhead), (b) the chaos engine
+// can corrupt real UPDATE bytes and classify the damage under RFC 7606, and
+// (c) the encoding logic is tested against the RFC's corner cases
+// (extended-length attributes, AS_SET segments, prefix padding).
 #pragma once
 
 #include <cstdint>
@@ -66,8 +66,7 @@ enum class ErrorAction : std::uint8_t {
 const char* to_string(ErrorAction action);
 
 /// Malformed input while decoding. Carries the RFC 4271 NOTIFICATION error
-/// code + subcode a session must send before resetting, so the FSM never
-/// has to guess what went wrong.
+/// code + subcode a session would send before resetting.
 class WireError : public std::runtime_error {
  public:
   WireError(ErrorCode code, std::uint8_t subcode, const std::string& what)
@@ -273,10 +272,5 @@ std::vector<std::uint8_t> encode_sim_update(const Update& update,
 /// A decoded message may carry several announcements/withdrawals; expand to
 /// simulator updates (announcements share the attribute set).
 std::vector<Update> to_sim_updates(const UpdateMessage& message);
-
-/// The extra bytes a MOAS list of `n_origins` adds to an announcement
-/// (Section 4.3's overhead discussion): n x 4 community octets plus the
-/// attribute header when no communities were present at all.
-std::size_t moas_list_overhead_bytes(std::size_t n_origins, bool had_communities);
 
 }  // namespace moas::bgp::wire

@@ -802,11 +802,4 @@ std::vector<Update> to_sim_updates(const UpdateMessage& message) {
   return out;
 }
 
-std::size_t moas_list_overhead_bytes(std::size_t n_origins, bool had_communities) {
-  const std::size_t values = 4 * n_origins;
-  if (had_communities) return values;
-  // Attribute header: flags + type + 1-byte length (lists of <= 63 origins).
-  return values + 3;
-}
-
 }  // namespace moas::bgp::wire

@@ -27,8 +27,7 @@ namespace moas::core {
 /// damage arrived and which degradation mode absorbed it. Router-side
 /// `error_withdraws` counts routes revoked by treat-as-withdraw; the rest
 /// come from the chaos engine's scheduled attribute corruptions (zero when
-/// `engine` is null). Session-FSM runs surface the same trio as
-/// bgp::Session::Stats counters.
+/// `engine` is null).
 ///
 /// The counters live in the metrics registry ("router.error_withdraws" +
 /// "chaos.*"); this struct is a typed view over a registry snapshot, kept

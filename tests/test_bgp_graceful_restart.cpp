@@ -1,13 +1,12 @@
-// RFC 4724 graceful restart: capability negotiation at OPEN, stale-route
-// retention across a peer's crash/restart cycle, End-of-RIB sweeping, the
-// restart-timer fallback, and the end-to-end claim — a restarting router
+// RFC 4724 graceful restart: the OPEN capability and the End-of-RIB marker
+// on the wire, stale-route retention across a peer's crash/restart cycle,
+// End-of-RIB sweeping, the restart-timer fallback, and the end-to-end claim — a restarting router
 // stops masquerading as withdraw/re-announce churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "moas/bgp/network.h"
-#include "moas/bgp/session.h"
 #include "moas/bgp/wire.h"
 #include "moas/chaos/invariants.h"
 
@@ -98,134 +97,6 @@ TEST(GracefulRestartWire, EndOfRibSimUpdateRoundTrips) {
   const auto bytes = wire::encode_sim_update(eor);
   EXPECT_TRUE(wire::is_end_of_rib(wire::decode_update(bytes)));
   EXPECT_EQ(eor.to_string(), "END-OF-RIB");
-}
-
-// --- session negotiation ---------------------------------------------------
-
-/// Two sessions joined back to back (mirrors test_bgp_session.cpp).
-struct SessionPair {
-  sim::EventQueue clock;
-  std::unique_ptr<Session> a;
-  std::unique_ptr<Session> b;
-  int a_downs = 0, b_downs = 0;
-  bool link_up = true;
-
-  explicit SessionPair(Session::Config ca, Session::Config cb) {
-    a = std::make_unique<Session>(
-        ca, clock, [this](std::vector<std::uint8_t> bytes) { to(b, bytes); }, nullptr,
-        [this] { ++a_downs; });
-    b = std::make_unique<Session>(
-        cb, clock, [this](std::vector<std::uint8_t> bytes) { to(a, bytes); }, nullptr,
-        [this] { ++b_downs; });
-  }
-
-  static Session::Config config_for(Asn asn, bool graceful) {
-    Session::Config config;
-    config.local_as = asn;
-    config.bgp_identifier = asn;
-    config.graceful_restart = graceful;
-    config.gr_restart_time = 90.0;
-    return config;
-  }
-
-  void to(std::unique_ptr<Session>& dst, std::vector<std::uint8_t> bytes) {
-    if (!link_up) return;
-    Session* target = dst.get();
-    clock.schedule_after(0.01, [target, bytes = std::move(bytes)] { target->receive(bytes); });
-  }
-
-  void bring_up() {
-    a->start();
-    b->start();
-    a->tcp_connected();
-    b->tcp_connected();
-    clock.run_until(clock.now() + 1.0);
-  }
-};
-
-TEST(GracefulRestartSession, NegotiatedWhenBothAdvertise) {
-  SessionPair pair(SessionPair::config_for(1, true), SessionPair::config_for(2, true));
-  pair.bring_up();
-  ASSERT_TRUE(pair.a->established());
-  EXPECT_TRUE(pair.a->gr_negotiated());
-  EXPECT_TRUE(pair.b->gr_negotiated());
-  EXPECT_EQ(pair.a->peer_restart_time(), 90.0);
-  ASSERT_TRUE(pair.a->peer_graceful_restart().has_value());
-  EXPECT_FALSE(pair.a->peer_graceful_restart()->restart_state);
-}
-
-TEST(GracefulRestartSession, NotNegotiatedOneSided) {
-  SessionPair pair(SessionPair::config_for(1, true), SessionPair::config_for(2, false));
-  pair.bring_up();
-  ASSERT_TRUE(pair.a->established());
-  EXPECT_FALSE(pair.a->gr_negotiated()) << "peer sent no capability";
-  EXPECT_FALSE(pair.b->gr_negotiated()) << "locally not configured";
-  EXPECT_TRUE(pair.b->peer_graceful_restart().has_value())
-      << "the peer's capability is still recorded";
-  EXPECT_EQ(pair.a->peer_restart_time(), 0.0);
-}
-
-TEST(GracefulRestartSession, RestartStateFlagTravels) {
-  auto cb = SessionPair::config_for(2, true);
-  cb.gr_restarting = true;  // b is coming back from a restart
-  SessionPair pair(SessionPair::config_for(1, true), cb);
-  pair.bring_up();
-  ASSERT_TRUE(pair.a->gr_negotiated());
-  EXPECT_TRUE(pair.a->peer_graceful_restart()->restart_state);
-  EXPECT_FALSE(pair.b->peer_graceful_restart()->restart_state);
-}
-
-TEST(GracefulRestartSession, RestartTimeConfigValidated) {
-  sim::EventQueue clock;
-  auto config = SessionPair::config_for(1, true);
-  config.gr_restart_time = 5000.0;  // does not fit the 12-bit wire field
-  EXPECT_THROW(Session(config, clock, [](std::vector<std::uint8_t>) {}, {}, {}),
-               std::invalid_argument);
-}
-
-TEST(Session, RemoteResetRetriesAutomatically) {
-  // A NOTIFICATION from the peer is not an operator stop: the session must
-  // re-enter Connect and keep retrying, not park in Idle forever.
-  SessionPair pair(SessionPair::config_for(1, false), SessionPair::config_for(2, false));
-  pair.bring_up();
-  ASSERT_TRUE(pair.a->established());
-
-  pair.b->stop();  // sends a Cease NOTIFICATION to a
-  pair.clock.run_until(pair.clock.now() + 1.0);
-  EXPECT_EQ(pair.a->state(), SessionState::Connect);
-  EXPECT_EQ(pair.a_downs, 1);
-  EXPECT_EQ(pair.a->stats().remote_resets, 1u);
-}
-
-TEST(Session, BackoffReturnsToBaseAfterRemoteResetHeals) {
-  // Satellite audit: backoff built up after a remote-initiated reset must
-  // clear once the session is ESTABLISHED again — not keep a healed peer
-  // paying capped retry delays.
-  auto ca = SessionPair::config_for(1, false);
-  ca.connect_retry = 2.0;
-  ca.connect_retry_backoff = 2.0;
-  ca.connect_retry_cap = 16.0;
-  ca.connect_retry_jitter = 0.0;
-  SessionPair pair(ca, SessionPair::config_for(2, false));
-  pair.bring_up();
-  ASSERT_TRUE(pair.a->established());
-  ASSERT_EQ(pair.a->current_connect_retry(), 0.0);
-
-  pair.b->stop();  // remote reset; a's transport stays "down" for a while
-  pair.clock.run_until(pair.clock.now() + 40.0);
-  ASSERT_EQ(pair.a->state(), SessionState::Connect);
-  EXPECT_GT(pair.a->current_connect_retry(), ca.connect_retry)
-      << "retries while the peer is away must back off";
-
-  // The peer heals: both sides re-establish.
-  pair.b->start();
-  pair.b->tcp_connected();
-  pair.a->tcp_connected();
-  pair.clock.run_until(pair.clock.now() + 5.0);
-  ASSERT_TRUE(pair.a->established());
-  ASSERT_TRUE(pair.b->established());
-  EXPECT_EQ(pair.a->current_connect_retry(), 0.0)
-      << "re-establishment restores the base connect-retry interval";
 }
 
 // --- Adj-RIB-In stale tracking --------------------------------------------

@@ -448,8 +448,9 @@ TEST(Wire, SimUpdateConversions) {
 }
 
 TEST(Wire, MoasListOverheadAccounting) {
-  // Section 4.3: the measured byte cost of attaching a MOAS list must
-  // match the analytic helper.
+  // Section 4.3: attaching a MOAS list of n origins to an announcement that
+  // had no communities costs n x 4 community octets plus the 3-octet
+  // attribute header.
   auto encoded_size = [](std::size_t n_origins) {
     Route route;
     route.prefix = pfx("135.38.0.0/16");
@@ -461,11 +462,11 @@ TEST(Wire, MoasListOverheadAccounting) {
   };
   const std::size_t bare = encoded_size(0);
   for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5}}) {
-    EXPECT_EQ(encoded_size(n) - bare, moas_list_overhead_bytes(n, false)) << n;
+    EXPECT_EQ(encoded_size(n) - bare, 4 * n + 3) << n;
   }
   // "about 99% of all MOAS cases involve 3 or fewer origin ASes", so the
   // typical cost is 15 bytes or less.
-  EXPECT_LE(moas_list_overhead_bytes(3, false), 15u);
+  EXPECT_LE(encoded_size(3) - bare, 15u);
 }
 
 }  // namespace

@@ -8,13 +8,29 @@
 
 #include "moas/bgp/network.h"
 #include "moas/measure/observer.h"
-#include "moas/measure/snapshot.h"
 #include "moas/topo/gen_internet.h"
 #include "moas/topo/route_views.h"
 #include "moas/topo/sampler.h"
 
 namespace moas {
 namespace {
+
+/// What a RouteViews-style collector records: for every prefix any vantage
+/// reaches, the origin candidates of the vantages' best routes.
+measure::DailyDump snapshot(const bgp::Network& network,
+                            const std::vector<bgp::Asn>& vantages, int day) {
+  measure::DailyDump dump;
+  dump.day = day;
+  for (bgp::Asn vantage : vantages) {
+    const bgp::LocRib& rib = network.router(vantage).loc_rib();
+    for (const net::Prefix& prefix : rib.prefixes()) {
+      for (bgp::Asn origin : rib.best(prefix)->route.origin_candidates()) {
+        dump.origins[prefix].insert(origin);
+      }
+    }
+  }
+  return dump;
+}
 
 TEST(ClosedLoop, ObserverRecoversInjectedFaults) {
   util::Rng rng(7);
@@ -84,7 +100,7 @@ TEST(ClosedLoop, ObserverRecoversInjectedFaults) {
       network.router(fault.attacker).withdraw_origination(fault.prefix);
     }
     ASSERT_TRUE(network.run_to_quiescence());
-    observer.ingest(measure::snapshot_network(network, vantages, day));
+    observer.ingest(snapshot(network, vantages, day));
     network.clock().run_until((day + 1) * kDay);
   }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "moas/topo/metrics.h"
+#include "moas/topo/route_views.h"
 
 namespace moas::topo {
 namespace {
@@ -193,6 +196,24 @@ TEST(Metrics, MeanPathLengthOnRing) {
   const double mean = mean_path_length(g, 500, 11);
   // On a 6-ring distances are 1,2,3 (mean 1.8 over distinct pairs).
   EXPECT_NEAR(mean, 1.8, 0.2);
+}
+
+TEST(RouteViews, PrefixForAsnIsInjective) {
+  // Injective within one 4,096-ASN period: every AS of a generated
+  // topology gets its own victim block.
+  std::set<net::Prefix> blocks;
+  for (bgp::Asn asn = 0; asn < 4096; ++asn) blocks.insert(prefix_for_asn(asn));
+  EXPECT_EQ(blocks.size(), 4096u);
+  EXPECT_EQ(prefix_for_asn(1), *net::Prefix::parse("10.0.16.0/20"));
+  EXPECT_EQ(prefix_for_asn(4006), *net::Prefix::parse("10.250.96.0/20"));
+}
+
+TEST(RouteViews, PrefixForAsnRepeatsEvery4096Asns) {
+  // Only the low 12 bits of the ASN pick the /20, so the mapping wraps.
+  EXPECT_EQ(prefix_for_asn(4097), prefix_for_asn(1));
+  EXPECT_EQ(prefix_for_asn(4096), prefix_for_asn(0));
+  EXPECT_EQ(prefix_for_asn(4006 + 3 * 4096), prefix_for_asn(4006));
+  EXPECT_NE(prefix_for_asn(4096), prefix_for_asn(4095));
 }
 
 }  // namespace

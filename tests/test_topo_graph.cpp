@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "moas/topo/io.h"
-
 namespace moas::topo {
 namespace {
 
@@ -123,40 +119,6 @@ TEST(AsGraph, InducedSubgraphKeepsAnnotations) {
   EXPECT_EQ(sub.edge_count(), 1u);
   EXPECT_EQ(sub.relationship(1, 3), bgp::Relationship::Customer);
   EXPECT_TRUE(sub.is_stub(3));
-}
-
-TEST(AsGraphIo, SaveLoadRoundTrip) {
-  const AsGraph g = triangle();
-  std::stringstream buffer;
-  save_graph(g, buffer);
-  const AsGraph loaded = load_graph(buffer);
-  EXPECT_EQ(loaded.node_count(), g.node_count());
-  EXPECT_EQ(loaded.edge_count(), g.edge_count());
-  EXPECT_EQ(loaded.kind(3), AsKind::Stub);
-  EXPECT_EQ(loaded.relationship(2, 3), bgp::Relationship::Customer);
-  EXPECT_EQ(loaded.relationship(1, 2), bgp::Relationship::Peer);
-}
-
-TEST(AsGraphIo, IgnoresCommentsAndBlankLines) {
-  std::stringstream buffer("# comment\n\nnode 1 stub\nnode 2 transit\nedge 1 2 peer\n");
-  const AsGraph g = load_graph(buffer);
-  EXPECT_EQ(g.node_count(), 2u);
-  EXPECT_TRUE(g.has_edge(1, 2));
-}
-
-TEST(AsGraphIo, RejectsMalformedRecords) {
-  {
-    std::stringstream buffer("node 1 bogus\n");
-    EXPECT_THROW(load_graph(buffer), std::invalid_argument);
-  }
-  {
-    std::stringstream buffer("frobnicate 1 2\n");
-    EXPECT_THROW(load_graph(buffer), std::invalid_argument);
-  }
-  {
-    std::stringstream buffer("edge 1 2 peer\n");  // endpoints undeclared
-    EXPECT_THROW(load_graph(buffer), std::invalid_argument);
-  }
 }
 
 }  // namespace
