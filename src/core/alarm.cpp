@@ -51,11 +51,13 @@ void AlarmLog::set_retention(std::size_t cap) {
 }
 
 void AlarmLog::restore_compacted(std::size_t base, const std::array<std::uint64_t, 4>& by_state,
-                                 const std::array<std::uint64_t, 3>& by_cause) {
+                                 const std::array<std::uint64_t, 3>& by_cause,
+                                 std::vector<MoasAlarm> retained) {
   MOAS_REQUIRE(alarms_.empty() && base_ == 0, "restore_compacted needs a fresh log");
   base_ = base;
   compacted_states_ = by_state;
   compacted_causes_ = by_cause;
+  alarms_ = std::move(retained);
 }
 
 void AlarmLog::maybe_compact() {

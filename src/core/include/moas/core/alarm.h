@@ -106,9 +106,13 @@ class AlarmLog {
   const std::array<std::uint64_t, 4>& compacted_by_state() const { return compacted_states_; }
   const std::array<std::uint64_t, 3>& compacted_by_cause() const { return compacted_causes_; }
 
-  /// Checkpoint restore: seed the compaction tallies of an empty log.
+  /// Checkpoint restore: seed the compaction tallies of an empty log and
+  /// install `retained` as the window verbatim. No compaction runs, so the
+  /// restored log is the saved one even when settles since its last record
+  /// left foldable alarms in the window.
   void restore_compacted(std::size_t base, const std::array<std::uint64_t, 4>& by_state,
-                         const std::array<std::uint64_t, 3>& by_cause);
+                         const std::array<std::uint64_t, 3>& by_cause,
+                         std::vector<MoasAlarm> retained = {});
 
   /// Attach (or detach, with nullptr) the trace bus; every recorded alarm
   /// is mirrored as an AlarmRaised event. The bus must outlive the log.

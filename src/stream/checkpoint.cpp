@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "moas/util/assert.h"
@@ -61,6 +62,13 @@ void CheckpointWriter::line(const std::string& text) {
   *os_ << text << '\n';
 }
 
+void CheckpointWriter::append(const std::string_view lines) {
+  MOAS_REQUIRE(!finished_, "checkpoint writer already finished");
+  MOAS_REQUIRE(lines.empty() || lines.back() == '\n', "checkpoint block must end a line");
+  hash_ = fnv1a(hash_, lines);
+  os_->write(lines.data(), static_cast<std::streamsize>(lines.size()));
+}
+
 void CheckpointWriter::finish() {
   MOAS_REQUIRE(!finished_, "checkpoint writer already finished");
   *os_ << "checksum " << hex16(hash_) << '\n';
@@ -114,6 +122,13 @@ std::uint64_t LineParser::u64() {
   return value;
 }
 
+std::uint32_t LineParser::u32() {
+  const std::uint64_t value = u64();
+  MOAS_REQUIRE(value <= std::numeric_limits<std::uint32_t>::max(),
+               "checkpoint: value out of 32-bit range");
+  return static_cast<std::uint32_t>(value);
+}
+
 std::int64_t LineParser::i64() {
   const std::string t = token();
   if (!t.empty() && t.front() == '-') {
@@ -126,6 +141,13 @@ std::int64_t LineParser::i64() {
   MOAS_REQUIRE(util::parse_u64(t, value) && value <= 1ULL << 62,
                "checkpoint: expected an integer");
   return static_cast<std::int64_t>(value);
+}
+
+int LineParser::day() {
+  const std::int64_t value = i64();
+  MOAS_REQUIRE(value >= std::numeric_limits<int>::min() && value <= std::numeric_limits<int>::max(),
+               "checkpoint: day out of range");
+  return static_cast<int>(value);
 }
 
 double LineParser::f64() { return double_from_bits(token()); }

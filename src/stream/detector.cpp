@@ -17,7 +17,7 @@ StreamDetector::StreamDetector(StreamConfig config) : config_(std::move(config))
   for (std::size_t i = 0; i < config_.shards; ++i) shards_.emplace_back(config_.shard);
 }
 
-util::ThreadPool& StreamDetector::pool() {
+util::ThreadPool& StreamDetector::pool() const {
   if (!pool_) pool_ = std::make_unique<util::ThreadPool>(config_.jobs);
   return *pool_;
 }
@@ -302,10 +302,15 @@ void StreamDetector::save_checkpoint(std::ostream& os) const {
     }
   }
 
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    w.line("shard " + std::to_string(i));
-    shards_[i].save(w);
-  }
+  // Shards serialise concurrently into their own buffers; the writer then
+  // hashes and writes the buffers in shard order, so the image is the one a
+  // serial writer would produce.
+  std::vector<std::string> blocks(shards_.size());
+  pool().parallel_for(shards_.size(), [&](const std::size_t i) {
+    blocks[i] = "shard " + std::to_string(i) + '\n';
+    shards_[i].save(blocks[i]);
+  });
+  for (const std::string& block : blocks) w.append(block);
   w.line("end");
   w.finish();
 }
@@ -373,7 +378,6 @@ StreamDetector StreamDetector::restore_checkpoint(std::istream& is, StreamConfig
       const std::uint64_t n = h.u64();
       d.later_counts_[day] = later;
       auto& batch = d.buffered_[day];
-      batch.reserve(n);
       for (std::uint64_t j = 0; j < n; ++j) {
         LineParser up(r.next());
         up.expect("u");
@@ -385,9 +389,7 @@ StreamDetector StreamDetector::restore_checkpoint(std::istream& is, StreamConfig
         MOAS_REQUIRE(prefix.has_value(), "checkpoint: bad prefix");
         u.prefix = *prefix;
         const std::uint64_t origins = up.u64();
-        for (std::uint64_t k = 0; k < origins; ++k) {
-          u.origins.insert(static_cast<bgp::Asn>(up.u64()));
-        }
+        for (std::uint64_t k = 0; k < origins; ++k) u.origins.insert(up.u32());
         batch.push_back(std::move(u));
       }
     }

@@ -19,6 +19,7 @@
 #include <iosfwd>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace moas::stream {
@@ -33,6 +34,11 @@ class CheckpointWriter {
 
   /// Write one payload line (a trailing '\n' is appended and hashed).
   void line(const std::string& text);
+
+  /// Write a block of pre-rendered payload lines, each already ending in
+  /// '\n'. The checksum is FNV-1a over the concatenated bytes, so a block
+  /// hashes exactly like the same lines written one by one.
+  void append(std::string_view lines);
 
   /// Write the checksum trailer. The writer must not be used afterwards.
   void finish();
@@ -73,8 +79,11 @@ class LineParser {
 
   std::string token();
   std::uint64_t u64();
+  /// A u64() that fits in 32 bits (AS numbers).
+  std::uint32_t u32();
   std::int64_t i64();
-  int day() { return static_cast<int>(i64()); }
+  /// An i64() that fits in an int (days are ints everywhere downstream).
+  int day();
   double f64();  // reads a double_bits() token
 
   /// Consume a token and require it to equal `expected`.

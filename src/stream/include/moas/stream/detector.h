@@ -134,11 +134,11 @@ class StreamDetector {
   void flush_ready();
   void flush_day(int day, std::vector<StreamUpdate> batch);
   void maybe_checkpoint(const CheckpointSink& sink);
-  util::ThreadPool& pool();
+  util::ThreadPool& pool() const;
 
   StreamConfig config_;
   std::vector<DetectorShard> shards_;
-  std::unique_ptr<util::ThreadPool> pool_;  // lazy; never checkpointed
+  mutable std::unique_ptr<util::ThreadPool> pool_;  // lazy; never checkpointed
 
   std::uint64_t consumed_ = 0;
   int last_flushed_day_ = -1;

@@ -21,10 +21,20 @@
 //   eviction    when the byte estimate exceeds the budget, cold alarm-free
 //               prefix state is folded into the duration histogram and
 //               dropped; alarm-carrying state is never evicted
+//
+// End of day costs what the day changed, not what the shard holds: open
+// conflicts sit in a (conflict_day, prefix) index that TTL expiry pops from
+// the front, eviction walks a (last_day, prefix) index from the front, and
+// the byte estimate is a running sum kept wherever a state, the log window
+// or the gap list changes (a retention fold recounts the capped window). The indexes and sums are derived state: load()
+// rebuilds them and operator== ignores them.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "moas/bgp/asn.h"
@@ -105,7 +115,7 @@ class DetectorShard {
   std::uint64_t bytes_held() const { return bytes_held_; }
   std::uint64_t peak_bytes() const { return peak_bytes_; }
   std::size_t live_prefixes() const { return states_.size(); }
-  std::size_t open_alarms() const;
+  std::size_t open_alarms() const { return open_by_conflict_day_.size(); }
   const std::map<net::Prefix, PrefixState>& states() const { return states_; }
 
   /// Evicted case durations plus the live states' current durations.
@@ -115,16 +125,26 @@ class DetectorShard {
   /// day) for every alarm raised so far, as a fixed histogram in days.
   const obs::FixedHistogram& latency_histogram() const { return latencies_; }
 
-  void save(CheckpointWriter& w) const;
+  /// Appends the shard's checkpoint lines, each ending in '\n', to `out`.
+  /// Touches nothing but the shard, so shards can serialise concurrently.
+  void save(std::string& out) const;
   /// Restores into a freshly constructed shard with an equal config.
   void load(CheckpointReader& r);
 
   bool operator==(const DetectorShard&) const;
 
  private:
-  void process(int flush_day, const StreamUpdate& u, bool full);
+  using DayKey = std::pair<int, net::Prefix>;
+
+  /// `st` is u.prefix's state, just default-constructed when `fresh`.
+  void process(int flush_day, const StreamUpdate& u, bool full, PrefixState& st, bool fresh);
   void end_day(int day);
-  std::uint64_t recompute_bytes() const;
+  void evict(int day);
+  std::size_t record(core::MoasAlarm alarm);
+  void close_conflict(const net::Prefix& prefix, PrefixState& st);
+  std::uint64_t accounted_bytes() const;
+  std::uint64_t window_bytes() const;
+  void rebuild_derived();
 
   ShardConfig config_;
   std::map<net::Prefix, PrefixState> states_;
@@ -135,6 +155,12 @@ class DetectorShard {
   ShardCounters counters_;
   std::uint64_t bytes_held_ = 0;
   std::uint64_t peak_bytes_ = 0;
+
+  // Derived state (see the file comment).
+  std::set<DayKey> open_by_conflict_day_;  // every open alarm
+  std::set<DayKey> by_last_day_;           // every state; empty without a budget
+  std::uint64_t state_bytes_ = 0;          // states' footprint incl. map nodes
+  std::uint64_t alarm_bytes_ = 0;          // retained log window's footprint
 };
 
 /// The histogram spec shared by duration and latency metrics (unit: days).

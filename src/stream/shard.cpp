@@ -1,6 +1,7 @@
 #include "moas/stream/shard.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "moas/util/assert.h"
 
@@ -31,15 +32,28 @@ bool covered_by(const bgp::AsnSet& reference, const bgp::AsnSet& observed) {
   return std::includes(reference.begin(), reference.end(), observed.begin(), observed.end());
 }
 
-void write_asn_set(std::string& line, const bgp::AsnSet& set) {
-  line += ' ' + std::to_string(set.size());
-  for (const bgp::Asn asn : set) line += ' ' + std::to_string(asn);
+/// Appends ' ' and `value` in decimal (the digits std::to_string writes).
+template <typename Int>
+void put(std::string& out, const Int value) {
+  char digits[24];
+  out += ' ';
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
+}
+
+void put_bits(std::string& out, const double value) {
+  out += ' ';
+  out += double_bits(value);
+}
+
+void put_asn_set(std::string& out, const bgp::AsnSet& set) {
+  put(out, set.size());
+  for (const bgp::Asn asn : set) put(out, asn);
 }
 
 bgp::AsnSet read_asn_set(LineParser& p) {
   bgp::AsnSet set;
   const std::uint64_t n = p.u64();
-  for (std::uint64_t i = 0; i < n; ++i) set.insert(static_cast<bgp::Asn>(p.u64()));
+  for (std::uint64_t i = 0; i < n; ++i) set.insert(p.u32());
   return set;
 }
 
@@ -49,13 +63,16 @@ net::Prefix read_prefix(LineParser& p) {
   return *prefix;
 }
 
-void write_histogram(CheckpointWriter& w, const char* tag, const obs::FixedHistogram& h) {
-  std::string line = tag;
-  line += ' ' + std::to_string(h.underflow()) + ' ' + std::to_string(h.overflow()) + ' ' +
-          std::to_string(h.count()) + ' ' + double_bits(h.sum()) + ' ' + double_bits(h.min()) +
-          ' ' + double_bits(h.max());
-  for (const std::uint64_t c : h.bucket_counts()) line += ' ' + std::to_string(c);
-  w.line(line);
+void put_histogram(std::string& out, const char* tag, const obs::FixedHistogram& h) {
+  out += tag;
+  put(out, h.underflow());
+  put(out, h.overflow());
+  put(out, h.count());
+  put_bits(out, h.sum());
+  put_bits(out, h.min());
+  put_bits(out, h.max());
+  for (const std::uint64_t c : h.bucket_counts()) put(out, c);
+  out += '\n';
 }
 
 obs::FixedHistogram read_histogram(CheckpointReader& r, const char* tag,
@@ -90,12 +107,13 @@ DetectorShard::DetectorShard(ShardConfig config)
   log_.set_retention(config.alarm_retention);
 }
 
-void DetectorShard::process(const int flush_day, const StreamUpdate& u, const bool full) {
-  auto [it, fresh] = states_.try_emplace(u.prefix);
-  PrefixState& st = it->second;
+void DetectorShard::process(const int flush_day, const StreamUpdate& u, const bool full,
+                            PrefixState& st, const bool fresh) {
+  const std::uint64_t bytes_before = fresh ? 0 : state_bytes(st);
   if (fresh) {
     st.reference = u.origins;  // first sight: adopt as the MOAS list
     st.first_day = u.day;
+    state_bytes_ += kMapNodeBytes;
   }
 
   if (!covered_by(st.reference, u.origins)) {
@@ -111,10 +129,11 @@ void DetectorShard::process(const int flush_day, const StreamUpdate& u, const bo
         if (!st.reference.contains(asn)) alarm.offending_origins.insert(asn);
       }
       alarm.cause = core::MoasAlarm::Cause::ListMismatch;
-      const std::size_t id = log_.record(std::move(alarm));
+      const std::size_t id = record(std::move(alarm));
       st.alarm_id = static_cast<std::int64_t>(id);
       st.conflict_since = u.at;
       st.conflict_day = u.day;
+      open_by_conflict_day_.emplace(u.day, u.prefix);
       ++counters_.alarms_raised;
       latencies_.add(static_cast<double>(flush_day) + 1.0 - u.at);
 
@@ -137,11 +156,9 @@ void DetectorShard::process(const int flush_day, const StreamUpdate& u, const bo
     // The announced set is covered by the reference again: conflict over.
     log_.settle(static_cast<std::size_t>(st.alarm_id), core::MoasAlarm::State::Resolved, u.at);
     ++counters_.alarms_resolved;
-    st.alarm_id = -1;
-    st.conflict_since = -1.0;
-    st.conflict_day = -1;
-    st.observed.clear();
+    close_conflict(u.prefix, st);
   }
+  state_bytes_ = state_bytes_ - bytes_before + state_bytes(st);
 
   const bool accrues = u.origins.size() >= 2 && u.day > st.last_moas_day;
   if (full) {
@@ -155,7 +172,38 @@ void DetectorShard::process(const int flush_day, const StreamUpdate& u, const bo
     ++counters_.shed_updates;
     if (accrues) ++counters_.moas_days_shed;
   }
-  st.last_day = std::max(st.last_day, u.day);
+  if (fresh || u.day > st.last_day) {
+    const int last_day = std::max(st.last_day, u.day);
+    if (config_.memory_budget_bytes > 0 && fresh) {
+      by_last_day_.emplace(last_day, u.prefix);
+    } else if (config_.memory_budget_bytes > 0) {
+      // Re-key the node in place of an erase + insert: no reallocation.
+      auto node = by_last_day_.extract({st.last_day, u.prefix});
+      node.value().first = last_day;
+      by_last_day_.insert(std::move(node));
+    }
+    st.last_day = last_day;
+  }
+}
+
+std::size_t DetectorShard::record(core::MoasAlarm alarm) {
+  const std::uint64_t cost = alarm_bytes(alarm);
+  const std::size_t base = log_.first_retained();
+  const std::size_t id = log_.record(std::move(alarm));
+  // When retention folded settled alarms out of the window, recount the
+  // window: it is capped, so this costs the cap, not the shard's state.
+  alarm_bytes_ = log_.first_retained() == base ? alarm_bytes_ + cost : window_bytes();
+  return id;
+}
+
+/// Clears the conflict fields of a state whose alarm was just settled. The
+/// caller settles the alarm and keeps state_bytes_ in step with `observed`.
+void DetectorShard::close_conflict(const net::Prefix& prefix, PrefixState& st) {
+  open_by_conflict_day_.erase({st.conflict_day, prefix});
+  st.alarm_id = -1;
+  st.conflict_since = -1.0;
+  st.conflict_day = -1;
+  st.observed.clear();
 }
 
 void DetectorShard::process_day(const int day, const std::vector<chaos::GapWindow>& new_gaps,
@@ -165,89 +213,99 @@ void DetectorShard::process_day(const int day, const std::vector<chaos::GapWindo
   std::size_t full_used = 0;
   for (const StreamUpdate* u : batch) {
     MOAS_REQUIRE(!u->malformed, "malformed update reached a shard");
-    const auto it = states_.find(u->prefix);
-    const bool alarm_open = it != states_.end() && it->second.alarm_id >= 0;
+    const auto [it, fresh] = states_.try_emplace(u->prefix);
+    const bool alarm_open = it->second.alarm_id >= 0;
     // Admission control: alarm-carrying prefixes always get the full path;
     // everyone else does until the day's capacity runs out.
     const bool full =
         alarm_open || config_.day_capacity == 0 || full_used < config_.day_capacity;
     if (full && !alarm_open) ++full_used;
-    process(day, *u, full);
+    process(day, *u, full, it->second, fresh);
   }
   end_day(day);
 }
 
 void DetectorShard::end_day(const int day) {
   // Conflict TTL: an alarm open this long is churn, not attack. Expire it
-  // and adopt the observed origins so the prefix stops alarming.
-  for (auto& [prefix, st] : states_) {
-    if (st.alarm_id < 0 || st.conflict_day < 0) continue;
-    if (static_cast<double>(day - st.conflict_day) < config_.conflict_ttl_days) continue;
+  // and adopt the observed origins so the prefix stops alarming. The index
+  // is ordered by conflict day, so the expired ones are a prefix of it
+  // (negative conflict days never expire).
+  auto next = open_by_conflict_day_.lower_bound({0, net::Prefix{}});
+  while (next != open_by_conflict_day_.end() &&
+         static_cast<double>(day - next->first) >= config_.conflict_ttl_days) {
+    const net::Prefix prefix = (next++)->second;
+    PrefixState& st = states_.find(prefix)->second;
     log_.settle(static_cast<std::size_t>(st.alarm_id), core::MoasAlarm::State::Expired,
                 static_cast<double>(day) + 1.0);
     ++counters_.alarms_expired;
+    const std::uint64_t bytes_before = state_bytes(st);
     for (const bgp::Asn asn : st.observed) st.reference.insert(asn);
-    st.alarm_id = -1;
-    st.conflict_since = -1.0;
-    st.conflict_day = -1;
-    st.observed.clear();
+    close_conflict(prefix, st);
+    state_bytes_ = state_bytes_ - bytes_before + state_bytes(st);
   }
 
-  bytes_held_ = recompute_bytes();
-  if (config_.memory_budget_bytes > 0 && bytes_held_ > config_.memory_budget_bytes) {
-    // Two eviction passes over alarm-free prefixes, coldest first: idle
-    // ones, then (under sustained pressure) warm ones too.
-    std::vector<std::pair<int, net::Prefix>> idle;
-    std::vector<std::pair<int, net::Prefix>> warm;
-    for (const auto& [prefix, st] : states_) {
-      if (st.alarm_id >= 0) continue;
-      auto& bucket = (day - st.last_day >= config_.evict_idle_days) ? idle : warm;
-      bucket.emplace_back(st.last_day, prefix);
-    }
-    std::sort(idle.begin(), idle.end());
-    std::sort(warm.begin(), warm.end());
-
-    const auto evict_from = [&](const std::vector<std::pair<int, net::Prefix>>& order,
-                                const bool live) {
-      for (const auto& [last_day, prefix] : order) {
-        if (bytes_held_ <= config_.memory_budget_bytes) return;
-        const auto it = states_.find(prefix);
-        const PrefixState& st = it->second;
-        if (st.duration_days > 0) durations_.add(static_cast<double>(st.duration_days));
-        bytes_held_ -= state_bytes(st) + kMapNodeBytes;
-        ++counters_.evicted_prefixes;
-        if (live) ++counters_.evicted_live;
-        states_.erase(it);
-      }
-    };
-    evict_from(idle, false);
-    evict_from(warm, true);
-  }
+  bytes_held_ = accounted_bytes();
+  if (config_.memory_budget_bytes > 0 && bytes_held_ > config_.memory_budget_bytes) evict(day);
   peak_bytes_ = std::max(peak_bytes_, bytes_held_);
 }
 
+void DetectorShard::evict(const int day) {
+  // Alarm-free prefixes, coldest first: ascending (last_day, prefix). Every
+  // idle prefix (unseen for evict_idle_days) sorts before every warm one,
+  // so this one walk evicts the idle ones first and, under sustained
+  // pressure, the warm ones after them.
+  auto next = by_last_day_.begin();
+  while (next != by_last_day_.end() && bytes_held_ > config_.memory_budget_bytes) {
+    const auto it = states_.find(next->second);
+    const PrefixState& st = it->second;
+    if (st.alarm_id >= 0) {
+      ++next;
+      continue;
+    }
+    if (st.duration_days > 0) durations_.add(static_cast<double>(st.duration_days));
+    const std::uint64_t bytes = state_bytes(st) + kMapNodeBytes;
+    bytes_held_ -= bytes;
+    state_bytes_ -= bytes;
+    ++counters_.evicted_prefixes;
+    if (st.last_day > day - config_.evict_idle_days) ++counters_.evicted_live;  // still warm
+    states_.erase(it);
+    next = by_last_day_.erase(next);
+  }
+}
+
 void DetectorShard::finish(const double at) {
-  for (auto& [prefix, st] : states_) {
-    if (st.alarm_id < 0) continue;
+  for (const auto& [conflict_day, prefix] : open_by_conflict_day_) {
+    PrefixState& st = states_.find(prefix)->second;
     log_.settle(static_cast<std::size_t>(st.alarm_id), core::MoasAlarm::State::Expired, at);
     ++counters_.alarms_expired;
     st.alarm_id = -1;
     st.conflict_since = -1.0;
     st.conflict_day = -1;
   }
-  bytes_held_ = recompute_bytes();
+  open_by_conflict_day_.clear();
+  bytes_held_ = accounted_bytes();
   peak_bytes_ = std::max(peak_bytes_, bytes_held_);
 }
 
-std::size_t DetectorShard::open_alarms() const {
-  std::size_t n = 0;
-  for (const auto& [prefix, st] : states_) n += st.alarm_id >= 0 ? 1 : 0;
-  return n;
+std::uint64_t DetectorShard::accounted_bytes() const {
+  return kShardBaseBytes + 16 * static_cast<std::uint64_t>(gaps_.size()) + state_bytes_ +
+         alarm_bytes_;
 }
 
-std::uint64_t DetectorShard::recompute_bytes() const {
-  std::uint64_t bytes = kShardBaseBytes + 16 * static_cast<std::uint64_t>(gaps_.size());
-  for (const auto& [prefix, st] : states_) bytes += state_bytes(st) + kMapNodeBytes;
+void DetectorShard::rebuild_derived() {
+  open_by_conflict_day_.clear();
+  by_last_day_.clear();
+  state_bytes_ = 0;
+  for (const auto& [prefix, st] : states_) {
+    state_bytes_ += state_bytes(st) + kMapNodeBytes;
+    if (st.alarm_id >= 0) open_by_conflict_day_.emplace(st.conflict_day, prefix);
+    if (config_.memory_budget_bytes > 0) by_last_day_.emplace(st.last_day, prefix);
+  }
+  alarm_bytes_ = window_bytes();
+}
+
+std::uint64_t DetectorShard::window_bytes() const {
+  std::uint64_t bytes = 0;
   for (const auto& alarm : log_.alarms()) bytes += alarm_bytes(alarm);
   return bytes;
 }
@@ -260,56 +318,69 @@ obs::FixedHistogram DetectorShard::duration_histogram() const {
   return out;
 }
 
-void DetectorShard::save(CheckpointWriter& w) const {
-  {
-    std::string line = "counters";
-    for (const std::uint64_t v :
-         {counters_.processed, counters_.shed_updates, counters_.moas_days_shed,
-          counters_.alarms_raised, counters_.alarms_resolved, counters_.alarms_expired,
-          counters_.alarms_parked, counters_.evicted_prefixes, counters_.evicted_live}) {
-      line += ' ' + std::to_string(v);
-    }
-    w.line(line);
+void DetectorShard::save(std::string& out) const {
+  out += "counters";
+  for (const std::uint64_t v :
+       {counters_.processed, counters_.shed_updates, counters_.moas_days_shed,
+        counters_.alarms_raised, counters_.alarms_resolved, counters_.alarms_expired,
+        counters_.alarms_parked, counters_.evicted_prefixes, counters_.evicted_live}) {
+    put(out, v);
   }
-  w.line("bytes " + std::to_string(bytes_held_) + ' ' + std::to_string(peak_bytes_));
+  out += "\nbytes";
+  put(out, bytes_held_);
+  put(out, peak_bytes_);
 
-  w.line("gaps " + std::to_string(gaps_.size()));
+  out += "\ngaps";
+  put(out, gaps_.size());
+  out += '\n';
   for (const auto& g : gaps_) {
-    w.line("gap " + std::to_string(g.first_day) + ' ' + std::to_string(g.last_day));
+    out += "gap";
+    put(out, g.first_day);
+    put(out, g.last_day);
+    out += '\n';
   }
 
-  write_histogram(w, "durations", durations_);
-  write_histogram(w, "latencies", latencies_);
+  put_histogram(out, "durations", durations_);
+  put_histogram(out, "latencies", latencies_);
 
-  {
-    std::string line = "alarmlog " + std::to_string(log_.first_retained());
-    for (const std::uint64_t v : log_.compacted_by_state()) line += ' ' + std::to_string(v);
-    for (const std::uint64_t v : log_.compacted_by_cause()) line += ' ' + std::to_string(v);
-    line += ' ' + std::to_string(log_.alarms().size());
-    w.line(line);
-  }
+  out += "alarmlog";
+  put(out, log_.first_retained());
+  for (const std::uint64_t v : log_.compacted_by_state()) put(out, v);
+  for (const std::uint64_t v : log_.compacted_by_cause()) put(out, v);
+  put(out, log_.alarms().size());
+  out += '\n';
   for (const auto& a : log_.alarms()) {
-    std::string line = "alarm " + double_bits(a.at) + ' ' + double_bits(a.settled_at) + ' ' +
-                       std::to_string(a.observer) + ' ' +
-                       std::to_string(static_cast<unsigned>(a.cause)) + ' ' +
-                       std::to_string(static_cast<unsigned>(a.state)) + ' ' +
-                       a.prefix.to_string();
-    write_asn_set(line, a.reference_list);
-    write_asn_set(line, a.observed_list);
-    write_asn_set(line, a.offending_origins);
-    w.line(line);
+    out += "alarm";
+    put_bits(out, a.at);
+    put_bits(out, a.settled_at);
+    put(out, a.observer);
+    put(out, static_cast<unsigned>(a.cause));
+    put(out, static_cast<unsigned>(a.state));
+    out += ' ';
+    out += a.prefix.to_string();
+    put_asn_set(out, a.reference_list);
+    put_asn_set(out, a.observed_list);
+    put_asn_set(out, a.offending_origins);
+    out += '\n';
   }
 
-  w.line("states " + std::to_string(states_.size()));
+  out += "states";
+  put(out, states_.size());
+  out += '\n';
   for (const auto& [prefix, st] : states_) {
-    std::string line = "state " + prefix.to_string() + ' ' + std::to_string(st.first_day) + ' ' +
-                       std::to_string(st.last_day) + ' ' + std::to_string(st.last_moas_day) +
-                       ' ' + std::to_string(st.duration_days) + ' ' +
-                       std::to_string(st.max_origins) + ' ' + std::to_string(st.alarm_id) + ' ' +
-                       double_bits(st.conflict_since) + ' ' + std::to_string(st.conflict_day);
-    write_asn_set(line, st.reference);
-    write_asn_set(line, st.observed);
-    w.line(line);
+    out += "state ";
+    out += prefix.to_string();
+    put(out, st.first_day);
+    put(out, st.last_day);
+    put(out, st.last_moas_day);
+    put(out, st.duration_days);
+    put(out, st.max_origins);
+    put(out, st.alarm_id);
+    put_bits(out, st.conflict_since);
+    put(out, st.conflict_day);
+    put_asn_set(out, st.reference);
+    put_asn_set(out, st.observed);
+    out += '\n';
   }
 }
 
@@ -362,22 +433,27 @@ void DetectorShard::load(CheckpointReader& r) {
     for (auto& v : by_state) v = p.u64();
     for (auto& v : by_cause) v = p.u64();
     const std::uint64_t retained = p.u64();
-    log_.restore_compacted(base, by_state, by_cause);
+    std::vector<core::MoasAlarm> window;
     for (std::uint64_t i = 0; i < retained; ++i) {
       LineParser a(r.next());
       a.expect("alarm");
       core::MoasAlarm alarm;
       alarm.at = a.f64();
       alarm.settled_at = a.f64();
-      alarm.observer = static_cast<bgp::Asn>(a.u64());
-      alarm.cause = static_cast<core::MoasAlarm::Cause>(a.u64());
-      alarm.state = static_cast<core::MoasAlarm::State>(a.u64());
+      alarm.observer = a.u32();
+      const std::uint64_t cause = a.u64();
+      const std::uint64_t state = a.u64();
+      MOAS_REQUIRE(cause < by_cause.size() && state < by_state.size(),
+                   "checkpoint: alarm cause or state out of range");
+      alarm.cause = static_cast<core::MoasAlarm::Cause>(cause);
+      alarm.state = static_cast<core::MoasAlarm::State>(state);
       alarm.prefix = read_prefix(a);
       alarm.reference_list = read_asn_set(a);
       alarm.observed_list = read_asn_set(a);
       alarm.offending_origins = read_asn_set(a);
-      log_.record(std::move(alarm));
+      window.push_back(std::move(alarm));
     }
+    log_.restore_compacted(base, by_state, by_cause, std::move(window));
   }
 
   {
@@ -399,9 +475,20 @@ void DetectorShard::load(CheckpointReader& r) {
       st.conflict_day = s.day();
       st.reference = read_asn_set(s);
       st.observed = read_asn_set(s);
-      states_.emplace(prefix, std::move(st));
+      if (st.alarm_id >= 0) {
+        const auto id = static_cast<std::uint64_t>(st.alarm_id);
+        MOAS_REQUIRE(id >= log_.first_retained() && id < log_.size(),
+                     "checkpoint: state names an alarm outside the log window");
+        const auto state = log_.alarms()[id - log_.first_retained()].state;
+        MOAS_REQUIRE(state == core::MoasAlarm::State::Raised ||
+                         state == core::MoasAlarm::State::Pending,
+                     "checkpoint: state names a settled alarm");
+      }
+      MOAS_REQUIRE(states_.emplace(prefix, std::move(st)).second,
+                   "checkpoint: duplicate prefix state");
     }
   }
+  rebuild_derived();
 }
 
 bool DetectorShard::operator==(const DetectorShard& other) const {
