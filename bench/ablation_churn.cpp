@@ -126,14 +126,20 @@ Cell run_cell(const core::Experiment& experiment, double attacker_fraction,
   return cell;
 }
 
-/// The churn configs share the observability setup: Summary-level tracing
-/// feeds the eviction-latency histogram, and --trace-out keeps the streams.
-void enable_observability(core::ExperimentConfig& config) {
-  config.trace_level = obs::TraceLevel::Summary;
+/// The churn configs share the scenario (full deployment, own-list
+/// attackers) and the observability setup: Summary-level tracing feeds the
+/// eviction-latency histogram, and --trace-out keeps the streams.
+core::ExperimentConfig churn_config(core::EventRun event) {
+  event.trace_level = obs::TraceLevel::Summary;
   if (g_trace.enabled()) {
-    if (config.trace_level < g_trace.level) config.trace_level = g_trace.level;
-    config.keep_trace = true;
+    if (event.trace_level < g_trace.level) event.trace_level = g_trace.level;
+    event.keep_trace = true;
   }
+  core::ExperimentConfig config;
+  config.deployment = core::Deployment::Full;
+  config.strategy = core::AttackerStrategy::OwnList;
+  config.engine = event;
+  return config;
 }
 
 }  // namespace
@@ -163,13 +169,8 @@ int main(int argc, char** argv) {
   bool ok = true;
   std::vector<double> baseline(fractions.size(), 0.0);
   for (const Regime& regime : regimes) {
-    core::ExperimentConfig config;
-    config.deployment = core::Deployment::Full;
-    config.strategy = core::AttackerStrategy::OwnList;
-    config.churn = regime.churn;
-    config.check_invariants = true;
-    enable_observability(config);
-    core::Experiment experiment(graph, config);
+    const core::Experiment experiment(
+        graph, churn_config({.churn = regime.churn, .check_invariants = true}));
     util::Rng rng(42);  // same workload draws per regime
     for (std::size_t f = 0; f < fractions.size(); ++f) {
       const Cell cell = run_cell(experiment, fractions[f], rng, jobs);
@@ -225,15 +226,12 @@ int main(int argc, char** argv) {
   crash_churn.crashes_per_router = 0.5;
   crash_churn.restart_delay_mean = 8.0;
   const auto run_restart_cell = [&](bool graceful) {
-    core::ExperimentConfig config;
-    config.deployment = core::Deployment::Full;
-    config.strategy = core::AttackerStrategy::OwnList;
-    config.churn = crash_churn;
-    config.check_invariants = true;  // includes the stale-route-hygiene family
-    config.graceful_restart = graceful;
-    config.gr_restart_time = 30.0;
-    enable_observability(config);
-    core::Experiment experiment(graph, config);
+    // The invariant audit includes the stale-route-hygiene family.
+    const core::Experiment experiment(
+        graph, churn_config({.graceful_restart = graceful,
+                             .gr_restart_time = 30.0,
+                             .churn = crash_churn,
+                             .check_invariants = true}));
     util::Rng rng(42);  // same workload draws for both restart modes
     return run_cell(experiment, 0.05, rng, jobs);
   };
@@ -294,13 +292,9 @@ int main(int argc, char** argv) {
   // comparable run for run).
   std::cout << "\n=== Resolver cache under moderate churn ===\n";
   const auto run_cache_cell = [&](double ttl) {
-    core::ExperimentConfig config;
-    config.deployment = core::Deployment::Full;
-    config.strategy = core::AttackerStrategy::OwnList;
-    config.churn = churn_regime(0.2, 0.005);
+    core::ExperimentConfig config = churn_config({.churn = churn_regime(0.2, 0.005)});
     config.resolver_cache_ttl = ttl;
-    enable_observability(config);
-    core::Experiment experiment(graph, config);
+    const core::Experiment experiment(graph, config);
     util::Rng rng(42);  // same workload draws with and without the cache
     return run_cell(experiment, 0.20, rng, jobs);
   };
@@ -343,14 +337,11 @@ int main(int argc, char** argv) {
   corrupt_churn.horizon = 120.0;
   corrupt_churn.attr_corruptions_per_link = 0.1;
   const auto run_error_cell = [&](bool revised) {
-    core::ExperimentConfig config;
-    config.deployment = core::Deployment::Full;
-    config.strategy = core::AttackerStrategy::OwnList;
-    config.churn = corrupt_churn;
-    config.check_invariants = true;  // includes the corruption invariant family
-    config.revised_error_handling = revised;
-    enable_observability(config);
-    core::Experiment experiment(graph, config);
+    // The invariant audit includes the corruption invariant family.
+    const core::Experiment experiment(
+        graph, churn_config({.revised_error_handling = revised,
+                             .churn = corrupt_churn,
+                             .check_invariants = true}));
     util::Rng rng(42);  // same workload draws for both error-handling modes
     return run_cell(experiment, 0.05, rng, jobs);
   };

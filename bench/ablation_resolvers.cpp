@@ -63,21 +63,26 @@ ArmResult run_arm(const topo::AsGraph& graph, core::ExperimentConfig config,
 }
 
 /// The DNS-under-outage scenario every outage-regime arm shares: a flaky
-/// DNS MOASRR backend, and (when `with_outage`) seeded registry outage
+/// DNS MOASRR backend resolved through `async` (optionally backed by an IRR
+/// fallback source), and (when `with_outage`) seeded registry outage
 /// windows plus latency spikes replayed against the resolution chain.
-core::ExperimentConfig outage_scenario(bool with_outage) {
-  core::ExperimentConfig config;
-  config.resolver = core::ResolverKind::Dns;
-  config.dns_unavailability = 0.3;
-  config.trace_level = obs::TraceLevel::Summary;
+core::ExperimentConfig outage_scenario(const core::AsyncResolver::Config& async,
+                                       bool fallback_irr, bool with_outage) {
+  core::EventRun event{.async_resolution = async,
+                       .async_fallback_irr = fallback_irr,
+                       .trace_level = obs::TraceLevel::Summary};
   if (with_outage) {
     chaos::RegistryOutageConfig outage;
     outage.outages = 8.0;
     outage.outage_mean = 12.0;
     outage.spikes = 3.0;
     outage.spike_factor = 5.0;
-    config.registry_outage = outage;
+    event.registry_outage = outage;
   }
+  core::ExperimentConfig config;
+  config.engine = event;
+  config.resolver = core::ResolverKind::Dns;
+  config.dns_unavailability = 0.3;
   return config;
 }
 
@@ -156,19 +161,15 @@ int main(int argc, char** argv) {
                "breaker, an IRR fallback and a stale cache, 'fail-fast' gives each "
                "conflict a single attempt.\n\n";
 
-  core::ExperimentConfig baseline_config = outage_scenario(/*with_outage=*/false);
-  baseline_config.async_resolution = hardened_async();
-  baseline_config.async_fallback_irr = true;
-  const ArmResult baseline = run_arm(graph, baseline_config, jobs);
-
-  core::ExperimentConfig naive_config = outage_scenario(/*with_outage=*/true);
-  naive_config.async_resolution = naive_async();
-  const ArmResult naive = run_arm(graph, naive_config, jobs);
-
-  core::ExperimentConfig hardened_config = outage_scenario(/*with_outage=*/true);
-  hardened_config.async_resolution = hardened_async();
-  hardened_config.async_fallback_irr = true;
-  const ArmResult hardened = run_arm(graph, hardened_config, jobs);
+  const ArmResult baseline = run_arm(
+      graph, outage_scenario(hardened_async(), /*fallback_irr=*/true, /*with_outage=*/false),
+      jobs);
+  const ArmResult naive = run_arm(
+      graph, outage_scenario(naive_async(), /*fallback_irr=*/false, /*with_outage=*/true),
+      jobs);
+  const ArmResult hardened = run_arm(
+      graph, outage_scenario(hardened_async(), /*fallback_irr=*/true, /*with_outage=*/true),
+      jobs);
 
   util::TablePrinter outage_table({"arm", "adopted_false", "expired_alarms",
                                    "pending_alarms", "settle_mean_s"});
@@ -217,7 +218,7 @@ int main(int argc, char** argv) {
 
   // Gate 4 — bounded inflation: riding out outages may delay settlement, but
   // never by more than the per-request deadline on average.
-  const double budget = hardened_config.async_resolution->request_deadline;
+  const double budget = hardened_async().request_deadline;
   if (hardened.mean_settle_latency() > baseline.mean_settle_latency() + budget) {
     std::cerr << "FAIL: outage inflated mean settle latency from "
               << baseline.mean_settle_latency() << "s to "

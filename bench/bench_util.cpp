@@ -173,11 +173,13 @@ std::vector<Curve> run_curves(const std::vector<CurveSpec>& specs, std::size_t j
   for (std::size_t c = 0; c < specs.size(); ++c) {
     MOAS_REQUIRE(specs[c].graph != nullptr, "CurveSpec needs a topology");
     core::ExperimentConfig config = specs[c].config;
-    if (trace.enabled()) {
+    // Only event runs trace: a wave run has no clock to stamp events with.
+    auto* event = std::get_if<core::EventRun>(&config.engine);
+    if (event && trace.enabled()) {
       // Recording at a coarser level than the config asked for would drop
       // events the bench relies on — only ever raise the level.
-      if (config.trace_level < trace.level) config.trace_level = trace.level;
-      config.keep_trace = true;
+      if (event->trace_level < trace.level) event->trace_level = trace.level;
+      event->keep_trace = true;
     }
     experiments.emplace_back(*specs[c].graph, config);
     util::Rng rng(specs[c].seed);

@@ -36,11 +36,7 @@ int main(int argc, char** argv) {
       core::ExperimentConfig config;
       config.num_origins = origins;
       config.deployment = core::Deployment::None;
-      if (extended) {
-        config.engine = core::Engine::Wave;
-        config.mrai = 0.0;
-        config.prefer_established = false;
-      }
+      if (extended) config.engine = core::WaveRun{};
       specs.push_back(CurveSpec{std::to_string(size) + "as_normal", &paper_topology(size),
                                 config, size * 10 + origins, 10});
     }
@@ -48,11 +44,7 @@ int main(int argc, char** argv) {
       core::ExperimentConfig config;
       config.num_origins = origins;
       config.deployment = core::Deployment::Full;
-      if (extended) {
-        config.engine = core::Engine::Wave;
-        config.mrai = 0.0;
-        config.prefer_established = false;
-      }
+      if (extended) config.engine = core::WaveRun{};
       specs.push_back(CurveSpec{std::to_string(size) + "as_full", &paper_topology(size),
                                 config, size * 10 + origins, 10});
     }

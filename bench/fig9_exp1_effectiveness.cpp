@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
     config.num_origins = origins;
     // Summary-level tracing feeds the eviction-latency histogram; its cost
     // is bounded by micro_obs_overhead's <2% budget.
-    config.trace_level = obs::TraceLevel::Summary;
+    config.engine = core::EventRun{.trace_level = obs::TraceLevel::Summary};
 
     config.deployment = core::Deployment::None;
     CurveSpec normal{"normal_bgp", &graph, config, 460 + origins, 10};

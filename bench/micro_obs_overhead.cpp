@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     core::ExperimentConfig config;
     config.num_origins = 1;
     config.deployment = core::Deployment::Full;
-    config.trace_level = level;
+    config.engine = core::EventRun{.trace_level = level};
     core::Experiment experiment(graph, config);
 
     LevelResult result;

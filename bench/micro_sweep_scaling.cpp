@@ -88,13 +88,13 @@ int main(int argc, char** argv) {
     // comparable across revisions.
     config.resolver = core::ResolverKind::Dns;
     config.dns_unavailability = 0.2;
-    config.async_resolution = core::AsyncResolver::Config{};
-    config.async_fallback_irr = true;
     chaos::RegistryOutageConfig outage;
     outage.outages = 3.0;
     outage.spikes = 2.0;
-    config.registry_outage = outage;
-    config.trace_level = obs::TraceLevel::Summary;
+    config.engine = core::EventRun{.async_resolution = core::AsyncResolver::Config{},
+                                   .async_fallback_irr = true,
+                                   .registry_outage = outage,
+                                   .trace_level = obs::TraceLevel::Summary};
   }
 
   const std::vector<double> fractions =

@@ -80,11 +80,10 @@ int main(int argc, char** argv) {
   // Route-age tie preference is the one knob the timeless wave engine
   // cannot express; turn it off on the event arm too so the outcomes are
   // comparable with operator== (DESIGN.md §10).
-  event_config.prefer_established = false;
+  event_config.engine = core::EventRun{.prefer_established = false};
 
   core::ExperimentConfig wave_config = event_config;
-  wave_config.engine = core::Engine::Wave;
-  wave_config.mrai = 0.0;
+  wave_config.engine = core::WaveRun{};
 
   std::cout << "=== Micro: wave vs event engine (" << graph.node_count() << "-AS, "
             << runs << " single-attacker runs" << (smoke ? ", smoke" : "") << ") ===\n\n";

@@ -1,5 +1,4 @@
-// BGP-4 wire format (RFC 4271 §4) for the message types the simulator
-// models, plus the RFC 1997 COMMUNITIES attribute encoding the MOAS list
+// BGP-4 wire format (RFC 4271 §4) for the UPDATE message, plus the RFC 1997 COMMUNITIES attribute encoding the MOAS list
 // travels in.
 //
 // The simulator itself exchanges in-memory Update objects; this module
@@ -24,21 +23,13 @@ namespace moas::bgp::wire {
 /// NOTIFICATION error codes (RFC 4271 §6.1).
 enum class ErrorCode : std::uint8_t {
   MessageHeader = 1,
-  OpenMessage = 2,
   UpdateMessage = 3,
-  HoldTimerExpired = 4,
-  FsmError = 5,
-  Cease = 6,
 };
 
 // Message Header Error subcodes (§6.2).
 inline constexpr std::uint8_t kHdrNotSynchronized = 1;
 inline constexpr std::uint8_t kHdrBadLength = 2;
 inline constexpr std::uint8_t kHdrBadType = 3;
-
-// OPEN Message Error subcodes (§6.3).
-inline constexpr std::uint8_t kOpenUnsupportedVersion = 1;
-inline constexpr std::uint8_t kOpenUnacceptableHoldTime = 6;
 
 // UPDATE Message Error subcodes (§6.4).
 inline constexpr std::uint8_t kUpdMalformedAttrList = 1;
@@ -81,7 +72,8 @@ class WireError : public std::runtime_error {
   std::uint8_t subcode_;
 };
 
-/// Message types (RFC 4271 §4.1).
+/// Message types (RFC 4271 §4.1). Only UPDATE has a codec; the others are
+/// listed so header validation tells a foreign type from an unknown one.
 enum class MessageType : std::uint8_t {
   Open = 1,
   Update = 2,
@@ -204,67 +196,6 @@ DecodeResult decode_update_revised(std::span<const std::uint8_t> data,
 /// An UPDATE with no withdrawn routes and no NLRI is the RFC 4724 §2
 /// End-of-RIB marker for IPv4 unicast.
 bool is_end_of_rib(const UpdateMessage& message);
-
-/// Encode the End-of-RIB marker (an empty UPDATE).
-std::vector<std::uint8_t> encode_end_of_rib();
-
-/// RFC 4724 §3 Graceful Restart capability (code 64), carried in the OPEN
-/// optional parameters. Only the IPv4/unicast AFI-SAFI tuple is modeled.
-struct GracefulRestartCapability {
-  /// Restart-State flag: the speaker has just restarted and is replaying.
-  bool restart_state = false;
-  /// Restart Time in seconds (12-bit field): how long the peer should
-  /// retain this speaker's routes as stale before flushing them.
-  std::uint16_t restart_time = 120;
-  /// Announce the IPv4/unicast AFI-SAFI tuple (with its Forwarding-State
-  /// flag). Off encodes a bare capability: restart timing only.
-  bool ipv4_unicast = true;
-  bool forwarding_preserved = false;
-
-  friend auto operator<=>(const GracefulRestartCapability&,
-                          const GracefulRestartCapability&) = default;
-};
-
-/// OPEN message content (§4.2). The only optional parameter modeled is the
-/// Capabilities parameter carrying graceful restart and the RFC 6793
-/// four-octet-AS capability; unknown parameters and capabilities are
-/// skipped on decode.
-struct OpenMessage {
-  std::uint8_t version = 4;
-  /// 2-octet "My Autonomous System" field; a speaker with a wide ASN puts
-  /// kAsTrans here and its true ASN in the four_octet_as capability.
-  std::uint16_t my_as = 0;
-  std::uint16_t hold_time = 180;
-  std::uint32_t bgp_identifier = 0;
-  std::optional<GracefulRestartCapability> graceful_restart;
-  /// RFC 6793 capability 65: the sender's full 4-octet ASN. Present iff the
-  /// speaker supports 4-octet AS_PATH encoding.
-  std::optional<std::uint32_t> four_octet_as;
-};
-
-std::vector<std::uint8_t> encode_open(const OpenMessage& open);
-OpenMessage decode_open(std::span<const std::uint8_t> data);
-
-/// KEEPALIVE: header only.
-std::vector<std::uint8_t> encode_keepalive();
-
-/// Validate a KEEPALIVE (header-only message). Throws WireError — like the
-/// other decode_* entry points, a wrong message type is a MessageHeader /
-/// bad-type error.
-void decode_keepalive(std::span<const std::uint8_t> data);
-
-/// NOTIFICATION (§4.5): error code, subcode, diagnostic data.
-struct NotificationMessage {
-  std::uint8_t code = 0;
-  std::uint8_t subcode = 0;
-  std::vector<std::uint8_t> data;
-};
-
-std::vector<std::uint8_t> encode_notification(const NotificationMessage& notification);
-NotificationMessage decode_notification(std::span<const std::uint8_t> data);
-
-/// Peek at a message's type (validates the header). Throws WireError.
-MessageType message_type(std::span<const std::uint8_t> data);
 
 /// Convert between the simulator's Update and wire messages.
 std::vector<std::uint8_t> encode_sim_update(const Update& update,

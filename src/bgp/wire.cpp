@@ -18,17 +18,6 @@ constexpr std::uint8_t kFlagExtendedLength = 0x10;
 constexpr std::uint8_t kSegmentSet = 1;
 constexpr std::uint8_t kSegmentSequence = 2;
 
-// OPEN optional parameters (RFC 5492) and the graceful-restart capability
-// (RFC 4724 §3).
-constexpr std::uint8_t kOptParamCapabilities = 2;
-constexpr std::uint8_t kCapGracefulRestart = 64;
-constexpr std::uint8_t kCapFourOctetAs = 65;  // RFC 6793 §3
-constexpr std::uint16_t kGrRestartFlag = 0x8000;      // Restart-State "R" bit
-constexpr std::uint16_t kGrRestartTimeMask = 0x0fff;  // 12-bit restart time
-constexpr std::uint16_t kAfiIpv4 = 1;
-constexpr std::uint8_t kSafiUnicast = 1;
-constexpr std::uint8_t kGrForwardingFlag = 0x80;  // per-AFI "F" bit
-
 class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
@@ -58,8 +47,8 @@ class Writer {
 class Reader {
  public:
   /// `truncation_code`/`truncation_subcode` classify an out-of-bounds read:
-  /// truncation inside an OPEN body is an OPEN error, inside an UPDATE body
-  /// an UPDATE error, and so on.
+  /// truncation inside the header is a header error, inside an UPDATE body
+  /// an UPDATE error.
   explicit Reader(std::span<const std::uint8_t> data,
                   ErrorCode truncation_code = ErrorCode::MessageHeader,
                   std::uint8_t truncation_subcode = kHdrBadLength)
@@ -606,167 +595,6 @@ DecodeResult decode_update_revised(std::span<const std::uint8_t> data, bool four
 
 bool is_end_of_rib(const UpdateMessage& message) {
   return message.withdrawn.empty() && message.nlri.empty() && message.error_withdrawn.empty();
-}
-
-std::vector<std::uint8_t> encode_end_of_rib() {
-  // RFC 4724 §2: for IPv4 unicast the marker is simply an UPDATE with no
-  // withdrawn routes and no NLRI — the minimal 23-octet message.
-  return encode_update(UpdateMessage{});
-}
-
-std::vector<std::uint8_t> encode_open(const OpenMessage& open) {
-  Writer w;
-  write_header(w, MessageType::Open);
-  w.u8(open.version);
-  w.u16(open.my_as);
-  w.u16(open.hold_time);
-  w.u32(open.bgp_identifier);
-
-  // Capability list (RFC 5492: one Capabilities optional parameter). Built
-  // separately so the two length prefixes can be written without patching.
-  // Graceful restart comes first — a GR-only OPEN is byte-identical to the
-  // pre-AS4 encoding.
-  Writer caps;
-  if (open.graceful_restart) {
-    const GracefulRestartCapability& gr = *open.graceful_restart;
-    MOAS_REQUIRE(gr.restart_time <= kGrRestartTimeMask,
-                 "graceful-restart time exceeds the 12-bit field");
-    const std::uint8_t cap_len = gr.ipv4_unicast ? 6 : 2;  // flags/time [+ tuple]
-    caps.u8(kCapGracefulRestart);
-    caps.u8(cap_len);
-    std::uint16_t flags_time = gr.restart_time;
-    if (gr.restart_state) flags_time |= kGrRestartFlag;
-    caps.u16(flags_time);
-    if (gr.ipv4_unicast) {
-      caps.u16(kAfiIpv4);
-      caps.u8(kSafiUnicast);
-      caps.u8(gr.forwarding_preserved ? kGrForwardingFlag : 0);
-    }
-  }
-  if (open.four_octet_as) {
-    caps.u8(kCapFourOctetAs);
-    caps.u8(4);
-    caps.u32(*open.four_octet_as);
-  }
-
-  const std::vector<std::uint8_t> cap_bytes = caps.take();
-  if (cap_bytes.empty()) {
-    w.u8(0);  // no optional parameters
-    return finish(w);
-  }
-  w.u8(static_cast<std::uint8_t>(cap_bytes.size() + 2));  // total optional-params length
-  w.u8(kOptParamCapabilities);
-  w.u8(static_cast<std::uint8_t>(cap_bytes.size()));  // parameter value length
-  w.bytes(cap_bytes);
-  return finish(w);
-}
-
-OpenMessage decode_open(std::span<const std::uint8_t> data) {
-  auto [type, body] = open_message(data);
-  if (type != MessageType::Open) {
-    throw WireError(ErrorCode::MessageHeader, kHdrBadType, "not an OPEN message");
-  }
-  // A short OPEN body is an OPEN error (unspecific subcode 0).
-  Reader r(body.rest(), ErrorCode::OpenMessage, 0);
-  OpenMessage out;
-  out.version = r.u8();
-  if (out.version != 4) {
-    throw WireError(ErrorCode::OpenMessage, kOpenUnsupportedVersion, "unsupported BGP version");
-  }
-  out.my_as = r.u16();
-  out.hold_time = r.u16();
-  if (out.hold_time == 1 || out.hold_time == 2) {
-    throw WireError(ErrorCode::OpenMessage, kOpenUnacceptableHoldTime, "illegal hold time");
-  }
-  out.bgp_identifier = r.u32();
-  const std::uint8_t opt_len = r.u8();
-  Reader params(r.bytes(opt_len), ErrorCode::OpenMessage, 0);
-  if (!r.done()) throw WireError(ErrorCode::OpenMessage, 0, "trailing bytes in OPEN");
-  while (!params.done()) {
-    const std::uint8_t param_type = params.u8();
-    const std::uint8_t param_len = params.u8();
-    Reader value(params.bytes(param_len), ErrorCode::OpenMessage, 0);
-    if (param_type != kOptParamCapabilities) continue;  // unknown parameter: skip
-    while (!value.done()) {
-      const std::uint8_t cap_code = value.u8();
-      const std::uint8_t cap_len = value.u8();
-      Reader cap(value.bytes(cap_len), ErrorCode::OpenMessage, 0);
-      if (cap_code == kCapFourOctetAs) {
-        if (cap_len != 4) {
-          throw WireError(ErrorCode::OpenMessage, 0, "four-octet-AS capability must be 4 octets");
-        }
-        out.four_octet_as = cap.u32();
-        continue;
-      }
-      if (cap_code != kCapGracefulRestart) continue;  // unknown capability: skip
-      if (cap_len < 2) {
-        throw WireError(ErrorCode::OpenMessage, 0, "graceful-restart capability too short");
-      }
-      GracefulRestartCapability gr;
-      const std::uint16_t flags_time = cap.u16();
-      gr.restart_state = (flags_time & kGrRestartFlag) != 0;
-      gr.restart_time = flags_time & kGrRestartTimeMask;
-      gr.ipv4_unicast = false;
-      while (cap.remaining() >= 4) {
-        const std::uint16_t afi = cap.u16();
-        const std::uint8_t safi = cap.u8();
-        const std::uint8_t afi_flags = cap.u8();
-        if (afi == kAfiIpv4 && safi == kSafiUnicast) {
-          gr.ipv4_unicast = true;
-          gr.forwarding_preserved = (afi_flags & kGrForwardingFlag) != 0;
-        }  // other address families: announced but not modeled, skip
-      }
-      if (!cap.done()) {
-        throw WireError(ErrorCode::OpenMessage, 0, "graceful-restart tuple truncated");
-      }
-      out.graceful_restart = gr;
-    }
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> encode_keepalive() {
-  Writer w;
-  write_header(w, MessageType::Keepalive);
-  return finish(w);
-}
-
-void decode_keepalive(std::span<const std::uint8_t> data) {
-  auto [type, r] = open_message(data);
-  if (type != MessageType::Keepalive) {
-    throw WireError(ErrorCode::MessageHeader, kHdrBadType, "not a KEEPALIVE message");
-  }
-  if (!r.done()) {
-    throw WireError(ErrorCode::MessageHeader, kHdrBadLength, "KEEPALIVE must be header-only");
-  }
-}
-
-std::vector<std::uint8_t> encode_notification(const NotificationMessage& notification) {
-  Writer w;
-  write_header(w, MessageType::Notification);
-  w.u8(notification.code);
-  w.u8(notification.subcode);
-  w.bytes(notification.data);
-  return finish(w);
-}
-
-NotificationMessage decode_notification(std::span<const std::uint8_t> data) {
-  auto [type, r] = open_message(data);
-  if (type != MessageType::Notification) {
-    throw WireError(ErrorCode::MessageHeader, kHdrBadType, "not a NOTIFICATION message");
-  }
-  NotificationMessage out;
-  out.code = r.u8();
-  out.subcode = r.u8();
-  auto rest = r.bytes(r.remaining());
-  out.data.assign(rest.begin(), rest.end());
-  return out;
-}
-
-MessageType message_type(std::span<const std::uint8_t> data) {
-  auto [type, r] = open_message(data);
-  (void)r;
-  return type;
 }
 
 std::vector<std::uint8_t> encode_sim_update(const Update& update,

@@ -1,7 +1,6 @@
 #include "moas/core/experiment.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <memory>
 
@@ -14,22 +13,171 @@
 #include "moas/util/assert.h"
 #include "moas/util/stats.h"
 #include "moas/util/thread_pool.h"
+#include "scenario.h"
 
 namespace moas::core {
+
+namespace {
+
+// Event-engine link model: every message takes kLinkDelay seconds plus
+// uniform jitter up to kJitter, and a run must quiesce within kMaxEvents.
+constexpr double kLinkDelay = 0.05;
+constexpr double kJitter = 0.02;
+constexpr std::size_t kMaxEvents = 50'000'000;
+
+std::shared_ptr<PrefixOriginDb> ground_truth(const net::Prefix& victim,
+                                             const AsnSet& origins) {
+  auto truth = std::make_shared<PrefixOriginDb>();
+  truth->set(victim, origins);
+  return truth;
+}
+
+/// An IRR mirror whose stale records answer config.irr_stale_origins.
+std::shared_ptr<OriginResolver> make_irr(const ExperimentConfig& config,
+                                         const std::shared_ptr<PrefixOriginDb>& truth,
+                                         const net::Prefix& victim, util::Rng& rng) {
+  auto stale = std::make_shared<PrefixOriginDb>();
+  if (!config.irr_stale_origins.empty()) stale->set(victim, config.irr_stale_origins);
+  IrrResolver::Config irr;
+  irr.staleness = config.irr_staleness;
+  irr.seed = rng.next();
+  return std::make_shared<IrrResolver>(truth, stale, irr);
+}
+
+/// The registry the detectors query (null: alarm-only detectors). Dns and
+/// Irr draw their seed from the run rng, the same draw on either engine.
+std::shared_ptr<OriginResolver> make_resolver(const ExperimentConfig& config,
+                                              const std::shared_ptr<PrefixOriginDb>& truth,
+                                              const net::Prefix& victim,
+                                              const AsnSet& attackers, util::Rng& rng) {
+  switch (config.resolver) {
+    case ResolverKind::Oracle: return std::make_shared<OracleResolver>(truth);
+    case ResolverKind::Dns: {
+      DnsResolver::Config dns;
+      dns.unavailability = config.dns_unavailability;
+      dns.forgery = config.dns_forgery;
+      if (!attackers.empty()) dns.forged_answer = attackers;
+      dns.seed = rng.next();
+      return std::make_shared<DnsResolver>(truth, dns);
+    }
+    case ResolverKind::Irr: return make_irr(config, truth, victim, rng);
+    case ResolverKind::None: return nullptr;
+  }
+  return nullptr;
+}
+
+/// Churn-aware resolver cache (ExperimentConfig::resolver_cache_ttl > 0):
+/// under session churn the same prefix alarms repeatedly, and without a
+/// cache every alarm is a fresh registry lookup. The cache collects its
+/// backend's metrics, so the run still reports the real registry load.
+std::shared_ptr<OriginResolver> with_cache(std::shared_ptr<OriginResolver> resolver,
+                                           double ttl, CachingResolver::TimeFn now) {
+  if (!resolver || ttl <= 0.0) return resolver;
+  CachingResolver::Config cache;
+  cache.ttl = ttl;
+  cache.negative_ttl = std::min(ttl, 5.0);
+  return std::make_shared<CachingResolver>(std::move(resolver), std::move(now), cache);
+}
+
+/// Community-stripping routers (Section 4.3): a sampled share of the
+/// non-origin routers drop the optional transitive attribute on
+/// re-advertisement.
+template <class Engine>
+void sample_strippers(Engine& engine, double fraction, const std::vector<bgp::Asn>& all_ases,
+                      const AsnSet& origins, util::Rng& rng) {
+  if (fraction <= 0.0) return;
+  std::vector<bgp::Asn> pool = all_ases;
+  std::erase_if(pool, [&](bgp::Asn asn) { return origins.contains(asn); });
+  const auto want =
+      static_cast<std::size_t>(std::lround(fraction * static_cast<double>(pool.size())));
+  for (std::size_t i : rng.sample_indices(pool.size(), want)) {
+    engine.router(pool[i]).set_strip_communities(true);
+  }
+}
+
+/// Alarm bookkeeping: lifecycle counts, settle histogram, false-alarm
+/// classification. Returns the earliest attacker-implicating alarm time
+/// (-1 if none).
+double account_alarms(RunResult& result, const AlarmLog& alarms, const AsnSet& attackers) {
+  result.alarms = alarms.size();
+  result.alarms_pending = alarms.count_state(MoasAlarm::State::Pending);
+  result.alarms_resolved = alarms.count_state(MoasAlarm::State::Resolved);
+  result.alarms_expired = alarms.count_state(MoasAlarm::State::Expired);
+  // Settle latency (alarm raised -> terminal state): instantaneous on the
+  // synchronous path, and exactly the resolution latency the degraded mode
+  // added on the async path — the bounded-inflation gate reads this.
+  auto& settle = result.metrics.histogram("detector.alarm_settle_latency", kAlarmLatencySpec);
+  for (const MoasAlarm& alarm : alarms.alarms()) {
+    if (alarm.settled_at >= 0.0) settle.add(alarm.settled_at - alarm.at);
+  }
+  double first_alarm_at = -1.0;
+  for (const MoasAlarm& alarm : alarms.alarms()) {
+    if (!scenario::implicates_attacker(alarm, attackers)) {
+      ++result.false_alarms;
+    } else if (first_alarm_at < 0.0 || alarm.at < first_alarm_at) {
+      first_alarm_at = alarm.at;
+    }
+  }
+  return first_alarm_at;
+}
+
+/// The tail of every run: outcome scoring, the scalar counters read back
+/// out of the metrics registry, the structural cutoff and the converged-RIB
+/// snapshot.
+template <class Engine>
+void finish_run(RunResult& result, Engine& engine, const ExperimentConfig& config,
+                const topo::AsGraph& graph, const std::vector<bgp::Asn>& all_ases,
+                const net::Prefix& victim, const AsnSet& origins, const AsnSet& attackers) {
+  const scenario::Outcomes outcomes =
+      scenario::score(engine, all_ases, victim, config.strategy, origins, attackers);
+  result.total_ases = all_ases.size();
+  result.attackers = attackers.size();
+  result.population = outcomes.population;
+  result.adopted_false = outcomes.adopted_false;
+  result.adopted_valid = outcomes.adopted_valid;
+  result.no_route = outcomes.no_route;
+  result.origin_set = origins;
+  result.attacker_set = attackers;
+
+  // The registry is the source of truth: every scalar counter RunResult
+  // reports is read back out of it, so a drifting name or a missed collect
+  // shows up in the run results, not just in an exporter nobody looks at.
+  // The resolver names exist even for resolver-less runs, so manifest
+  // consumers can rely on them unconditionally.
+  obs::MetricsRegistry& m = result.metrics;
+  m.count("resolver.queries", 0);
+  m.count("resolver.cache_hits", 0);
+  result.rejections = static_cast<std::size_t>(m.counter("detector.rejections"));
+  result.messages = m.counter("network.messages_sent");
+  result.withdrawals = m.counter("router.withdrawals_sent");
+  result.announcements = m.counter("router.announcements_sent");
+  result.stale_retained = m.counter("router.stale_retained");
+  result.stale_swept = m.counter("router.stale_swept");
+  result.routes_withdrawn = m.counter("router.routes_withdrawn");
+  result.error_withdraws = m.counter("router.error_withdraws");
+  result.resolver_queries = m.counter("resolver.queries");
+  result.resolver_cache_hits =
+      m.counter("resolver.cache_hits") + m.counter("resolver.cache_negative_hits");
+  if (!attackers.empty()) {
+    result.structural_cutoff = topo::fraction_cut_off(graph, origins, attackers);
+  }
+  if (config.keep_final_ribs) {
+    for (bgp::Asn asn : all_ases) {
+      const bgp::LocRib& rib = engine.router(asn).loc_rib();
+      for (const net::Prefix& prefix : rib.prefixes()) {
+        result.final_ribs.push_back({asn, *rib.best(prefix)});
+      }
+    }
+  }
+}
+
+}  // namespace
 
 const char* to_string(Deployment deployment) {
   switch (deployment) {
     case Deployment::None: return "normal-bgp";
     case Deployment::Partial: return "partial-moas";
     case Deployment::Full: return "full-moas";
-  }
-  return "?";
-}
-
-const char* to_string(Engine engine) {
-  switch (engine) {
-    case Engine::Event: return "event";
-    case Engine::Wave: return "wave";
   }
   return "?";
 }
@@ -46,37 +194,16 @@ Experiment::Experiment(const topo::AsGraph& graph, ExperimentConfig config)
   MOAS_REQUIRE(config.strip_fraction >= 0.0 && config.strip_fraction <= 1.0,
                "strip fraction must be a probability");
   MOAS_REQUIRE(config.resolver_cache_ttl >= 0.0, "resolver cache TTL must be non-negative");
-  MOAS_REQUIRE(!config.graceful_restart || config.gr_restart_time > 0.0,
-               "graceful restart needs a positive restart time");
-  MOAS_REQUIRE(!config.async_fallback_irr || config.async_resolution.has_value(),
-               "the IRR fallback source needs async_resolution");
-  MOAS_REQUIRE(!config.registry_outage.has_value() || config.async_resolution.has_value(),
-               "registry outages act on the async resolution path");
-  MOAS_REQUIRE(!config.async_resolution.has_value() || config.resolver != ResolverKind::None,
-               "async resolution needs a backend resolver");
-  if (config.engine == Engine::Wave) {
-    // The wave engine has no clock: every event-time knob must be loudly
-    // absent rather than silently ignored.
-    MOAS_REQUIRE(config.mrai == 0.0,
-                 "wave engine: MRAI pacing is an event-time concept — set mrai = 0");
-    MOAS_REQUIRE(!config.prefer_established,
-                 "wave engine: route-age preference needs arrival times — set "
-                 "prefer_established = false (ties break by lowest neighbor ASN)");
-    MOAS_REQUIRE(!config.churn.has_value(),
-                 "wave engine: background churn schedules replay on the event clock");
-    MOAS_REQUIRE(!config.async_resolution.has_value(),
-                 "wave engine: asynchronous resolution is clock-driven — use a "
-                 "synchronous resolver");
-    MOAS_REQUIRE(!config.graceful_restart,
-                 "wave engine: graceful restart needs restart timers");
-    MOAS_REQUIRE(!config.revised_error_handling,
-                 "wave engine: error handling acts on wire-level faults the wave "
-                 "model does not carry");
-    MOAS_REQUIRE(config.trace_level == obs::TraceLevel::Off && !config.keep_trace,
-                 "wave engine: trace events are timestamped — latency metrics are "
-                 "meaningless without a clock");
-    MOAS_REQUIRE(!config.check_invariants,
-                 "wave engine: the invariant checker audits a bgp::Network");
+  // The event fields' consistency among themselves; a WaveRun has none.
+  if (const auto* event = std::get_if<EventRun>(&config.engine)) {
+    MOAS_REQUIRE(!event->graceful_restart || event->gr_restart_time > 0.0,
+                 "graceful restart needs a positive restart time");
+    MOAS_REQUIRE(!event->async_fallback_irr || event->async_resolution.has_value(),
+                 "the IRR fallback source needs async_resolution");
+    MOAS_REQUIRE(!event->registry_outage.has_value() || event->async_resolution.has_value(),
+                 "registry outages act on the async resolution path");
+    MOAS_REQUIRE(!event->async_resolution.has_value() || config.resolver != ResolverKind::None,
+                 "async resolution needs a backend resolver");
   }
 }
 
@@ -118,64 +245,36 @@ RunResult Experiment::run_with(const bgp::AsnSet& origins, const bgp::AsnSet& at
     MOAS_REQUIRE(graph_->has_node(o), "origin not in topology");
     MOAS_REQUIRE(!attackers.contains(o), "an origin cannot also be an attacker");
   }
-  if (config_.engine == Engine::Wave) return run_wave(origins, attackers, seed);
-  return run_event(origins, attackers, seed);
+  return std::visit(
+      [&](const auto& engine) { return run(engine, origins, attackers, seed); },
+      config_.engine);
 }
 
-RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& attackers,
-                                std::uint64_t seed) const {
+RunResult Experiment::run(const EventRun& event, const bgp::AsnSet& origins,
+                          const bgp::AsnSet& attackers, std::uint64_t seed) const {
   util::Rng rng(seed);
-
   const net::Prefix victim = topo::prefix_for_asn(*origins.begin());
+  const auto truth = ground_truth(victim, origins);
+  std::shared_ptr<OriginResolver> resolver =
+      make_resolver(config_, truth, victim, attackers, rng);
 
-  // Ground truth / registry databases.
-  auto truth = std::make_shared<PrefixOriginDb>();
-  truth->set(victim, origins);
-  std::shared_ptr<OriginResolver> resolver;
-  switch (config_.resolver) {
-    case ResolverKind::Oracle:
-      resolver = std::make_shared<OracleResolver>(truth);
-      break;
-    case ResolverKind::Dns: {
-      DnsResolver::Config dns;
-      dns.unavailability = config_.dns_unavailability;
-      dns.forgery = config_.dns_forgery;
-      if (!attackers.empty()) dns.forged_answer = attackers;
-      dns.seed = rng.next();
-      resolver = std::make_shared<DnsResolver>(truth, dns);
-      break;
-    }
-    case ResolverKind::Irr: {
-      auto stale = std::make_shared<PrefixOriginDb>();
-      if (!config_.irr_stale_origins.empty()) stale->set(victim, config_.irr_stale_origins);
-      IrrResolver::Config irr;
-      irr.staleness = config_.irr_staleness;
-      irr.seed = rng.next();
-      resolver = std::make_shared<IrrResolver>(truth, stale, irr);
-      break;
-    }
-    case ResolverKind::None:
-      resolver = nullptr;  // alarm-only detectors
-      break;
-  }
-
-  // Build the network.
   bgp::Network::Config net_config;
   net_config.mode = config_.policy;
-  net_config.link_delay = config_.link_delay;
-  net_config.jitter = config_.jitter;
-  net_config.graceful_restart = config_.graceful_restart;
-  net_config.gr_restart_time = config_.gr_restart_time;
-  net_config.revised_error_handling = config_.revised_error_handling;
+  net_config.link_delay = kLinkDelay;
+  net_config.jitter = kJitter;
+  net_config.graceful_restart = event.graceful_restart;
+  net_config.gr_restart_time = event.gr_restart_time;
+  net_config.revised_error_handling = event.revised_error_handling;
   net_config.seed = rng.next();
   bgp::Network network(net_config);
 
   // Per-run trace bus, stamped from the run's own clock. Runs are
-  // self-contained and single-threaded (the PR 4 contract), so one bus per
-  // run is the "per-thread buffer": the sweep harness serializes buses in
-  // plan order and the merged stream is bit-identical for any --jobs.
-  obs::TraceBus bus(config_.trace_level, &network.clock());
-  if (config_.trace_level != obs::TraceLevel::Off) network.set_trace(&bus);
+  // self-contained and single-threaded (the sweep determinism contract), so
+  // one bus per run is the "per-thread buffer": the sweep harness serializes
+  // buses in plan order and the merged stream is bit-identical for any --jobs.
+  const bool tracing = event.trace_level != obs::TraceLevel::Off;
+  obs::TraceBus bus(event.trace_level, &network.clock());
+  if (tracing) network.set_trace(&bus);
 
   const std::vector<bgp::Asn> all_ases = graph_->nodes();
   for (bgp::Asn asn : all_ases) network.add_router(asn);
@@ -183,20 +282,8 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
     network.connect(edge.a, edge.b, edge.rel_of_b);
   }
 
-  // Churn-aware resolver cache: under session churn the same prefix alarms
-  // repeatedly, and without a cache every alarm is a fresh registry lookup.
-  // `backend` keeps a handle on the real resolver so the run can report the
-  // registry load the cache absorbed.
-  std::shared_ptr<OriginResolver> backend = resolver;
-  std::shared_ptr<CachingResolver> cache;
-  if (resolver && config_.resolver_cache_ttl > 0.0) {
-    CachingResolver::Config cache_config;
-    cache_config.ttl = config_.resolver_cache_ttl;
-    cache_config.negative_ttl = std::min(config_.resolver_cache_ttl, 5.0);
-    cache = std::make_shared<CachingResolver>(
-        backend, [&network] { return network.clock().now(); }, cache_config);
-    resolver = cache;
-  }
+  resolver = with_cache(std::move(resolver), config_.resolver_cache_ttl,
+                        [&network] { return network.clock().now(); });
 
   // Asynchronous fault-tolerant resolution: the (possibly cached) primary
   // becomes source 0 of the fallback chain, optionally backed by an IRR
@@ -204,70 +291,37 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
   // Declared after `network` so in-flight requests die before the clock.
   std::shared_ptr<AsyncResolver> async;
   std::shared_ptr<chaos::RegistryOutageSchedule> outage_schedule;
-  if (config_.async_resolution && resolver) {
-    AsyncResolver::Config async_config = *config_.async_resolution;
+  if (event.async_resolution && resolver) {
+    AsyncResolver::Config async_config = *event.async_resolution;
     async_config.seed ^= rng.next();  // one run seed reproduces latency draws
     async = std::make_shared<AsyncResolver>(network.clock(), async_config);
     async->add_source(resolver);
-    if (config_.async_fallback_irr) {
-      auto stale = std::make_shared<PrefixOriginDb>();
-      if (!config_.irr_stale_origins.empty()) stale->set(victim, config_.irr_stale_origins);
-      IrrResolver::Config irr;
-      irr.staleness = config_.irr_staleness;
-      irr.seed = rng.next();
-      async->add_source(std::make_shared<IrrResolver>(truth, stale, irr));
-    }
-    if (config_.registry_outage) {
-      chaos::RegistryOutageConfig outage = *config_.registry_outage;
+    if (event.async_fallback_irr) async->add_source(make_irr(config_, truth, victim, rng));
+    if (event.registry_outage) {
+      chaos::RegistryOutageConfig outage = *event.registry_outage;
       outage.seed ^= seed;  // same mixing rule as churn
       outage_schedule = std::make_shared<chaos::RegistryOutageSchedule>(
           chaos::compile_registry_outages(outage, async->source_count()));
       async->set_outage_schedule(outage_schedule);
     }
-    if (config_.trace_level != obs::TraceLevel::Off) async->set_trace(&bus);
+    if (tracing) async->set_trace(&bus);
   }
 
-  // Detector deployment. The paper's partial deployment picks the capable
-  // half among *all* nodes; capability on a compromised node is moot, so we
-  // simply never give attackers a detector.
   auto alarms = std::make_shared<AlarmLog>();
-  if (config_.trace_level != obs::TraceLevel::Off) alarms->set_trace(&bus);
-  std::vector<std::shared_ptr<MoasDetector>> detectors;
-  bgp::AsnSet capable;
-  if (config_.deployment == Deployment::Full) {
-    for (bgp::Asn asn : all_ases) capable.insert(asn);
-  } else if (config_.deployment == Deployment::Partial) {
-    const auto want = static_cast<std::size_t>(
-        std::lround(config_.deployment_fraction * static_cast<double>(all_ases.size())));
-    for (std::size_t i : rng.sample_indices(all_ases.size(), want)) {
-      capable.insert(all_ases[i]);
-    }
-  }
-  for (bgp::Asn asn : capable) {
-    if (attackers.contains(asn)) continue;
-    auto detector = std::make_shared<MoasDetector>(alarms, resolver);
+  if (tracing) alarms->set_trace(&bus);
+  const std::vector<std::shared_ptr<MoasDetector>> detectors =
+      scenario::deploy_detectors(network, config_.deployment, config_.deployment_fraction,
+                                 all_ases, attackers, alarms, resolver, rng);
+  for (const auto& detector : detectors) {
     if (async) detector->set_async_resolver(async);
-    if (config_.trace_level != obs::TraceLevel::Off) detector->set_trace(&bus);
-    network.router(asn).set_validator(detector);
-    detectors.push_back(std::move(detector));
+    if (tracing) detector->set_trace(&bus);
   }
+  sample_strippers(network, config_.strip_fraction, all_ases, origins, rng);
 
-  // Community-stripping routers (Section 4.3): random non-origin routers
-  // drop the optional transitive attribute on re-advertisement.
-  if (config_.strip_fraction > 0.0) {
-    std::vector<bgp::Asn> pool = all_ases;
-    std::erase_if(pool, [&](bgp::Asn asn) { return origins.contains(asn); });
-    const auto want = static_cast<std::size_t>(
-        std::lround(config_.strip_fraction * static_cast<double>(pool.size())));
-    for (std::size_t i : rng.sample_indices(pool.size(), want)) {
-      network.router(pool[i]).set_strip_communities(true);
-    }
+  if (event.mrai > 0.0) {
+    for (bgp::Asn asn : all_ases) network.router(asn).set_mrai(event.mrai);
   }
-
-  if (config_.mrai > 0.0) {
-    for (bgp::Asn asn : all_ases) network.router(asn).set_mrai(config_.mrai);
-  }
-  if (!config_.prefer_established) {
+  if (!event.prefer_established) {
     // Equal-key tie contests then resolve by lowest neighbor ASN instead of
     // route age — the timing-independent mode the wave engine matches.
     for (bgp::Asn asn : all_ases) network.router(asn).set_prefer_established(false);
@@ -278,19 +332,15 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
   // The engine clears its message tap on destruction — it must die before
   // `network`, hence the declaration after it.
   std::unique_ptr<chaos::ChaosEngine> engine;
-  if (config_.churn) {
-    chaos::ScheduleConfig churn = *config_.churn;
+  if (event.churn) {
+    chaos::ScheduleConfig churn = *event.churn;
     churn.seed ^= seed;  // one run seed reproduces workload and faults alike
     engine = std::make_unique<chaos::ChaosEngine>(
         network, chaos::compile_schedule(churn, network.links(), network.asns()));
     engine->arm();
   }
 
-  // Origination. Valid origins attach the MOAS list when the prefix really
-  // is multi-origin; a single-origin prefix carries no list (the paper:
-  // "Routes that originate from a single AS need not attach a MOAS list").
-  bgp::PathAttributes origin_attrs;  // width-split MOAS list carrier
-  if (origins.size() > 1) attach_moas_list(origin_attrs, origins);
+  const bgp::PathAttributes origin_attrs = scenario::origin_attrs(origins);
   for (bgp::Asn origin : origins) {
     const double at = rng.uniform01() * 0.5;
     network.clock().schedule_after(at, [&network, origin, victim, origin_attrs] {
@@ -302,11 +352,8 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
   RunResult result;
   if (config_.converge_before_attack) {
     // Phase 1: the legitimate announcements converge (steady state).
-    const auto phase_start = std::chrono::steady_clock::now();
-    result.quiesced = network.run_to_quiescence(config_.max_events);
-    result.propagation_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - phase_start)
-            .count();
+    result.propagation_seconds += scenario::elapsed_seconds(
+        [&] { result.quiesced = network.run_to_quiescence(kMaxEvents); });
     MOAS_ENSURE(result.quiesced, "valid-route convergence failed within the event cap");
   }
 
@@ -318,11 +365,7 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
   // honestly through phase 1 (the steady state includes it) and turns at
   // injection time.
   for (bgp::Asn attacker : attackers) {
-    AttackPlan plan;
-    plan.attacker = attacker;
-    plan.target = victim;
-    plan.valid_origins = origins;
-    plan.strategy = config_.strategy;
+    const AttackPlan plan{attacker, victim, origins, config_.strategy};
     if (!config_.converge_before_attack) {
       install_suppression(network.router(attacker), plan);
     }
@@ -342,48 +385,10 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
       launch_attack(network, plan);
     });
   }
-  const auto drain_start = std::chrono::steady_clock::now();
-  result.quiesced = network.run_to_quiescence(config_.max_events);
-  result.propagation_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - drain_start)
-          .count();
+  result.propagation_seconds += scenario::elapsed_seconds(
+      [&] { result.quiesced = network.run_to_quiescence(kMaxEvents); });
   MOAS_ENSURE(result.quiesced, "simulation failed to quiesce within the event cap");
 
-  // Scoring. Under SubPrefixHijack the attacker wins a node whenever the
-  // more-specific route is present (longest-prefix match beats the valid
-  // covering route).
-  net::Prefix scored_prefix = victim;
-  if (config_.strategy == AttackerStrategy::SubPrefixHijack && !attackers.empty()) {
-    scored_prefix = victim.children().first;
-  }
-
-  result.total_ases = all_ases.size();
-  result.attackers = attackers.size();
-  result.origin_set = origins;
-  result.attacker_set = attackers;
-  for (bgp::Asn asn : all_ases) {
-    if (attackers.contains(asn)) continue;
-    ++result.population;
-    const bgp::Router& router = network.router(asn);
-    const auto hijacked_origin = router.best_origin(scored_prefix);
-    if (hijacked_origin && attackers.contains(*hijacked_origin)) {
-      ++result.adopted_false;
-      continue;
-    }
-    const auto valid_origin = router.best_origin(victim);
-    if (!valid_origin) {
-      ++result.no_route;
-    } else if (origins.contains(*valid_origin)) {
-      ++result.adopted_valid;
-    } else if (attackers.contains(*valid_origin)) {
-      ++result.adopted_false;
-    }
-  }
-
-  // Metrics snapshot. The registry is the source of truth: every scalar
-  // counter RunResult reports below is read back out of it, so a drifting
-  // name or a missed collect shows up in the run results, not just in an
-  // exporter nobody looks at.
   result.metrics = network.collect_metrics();
   if (engine) engine->collect_metrics(result.metrics);
   for (const auto& detector : detectors) detector->collect_metrics(result.metrics);
@@ -412,7 +417,7 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
     result.poisoned_blocked = m.counter("chaos.poisoned_blocked");
     result.fault_log = engine->log_text();
   }
-  if (config_.check_invariants) {
+  if (event.check_invariants) {
     chaos::NetworkInvariantChecker checker;
     register_moas_invariants(checker, alarms);
     if (engine) {
@@ -438,24 +443,25 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
   // is from injection to the moment that set last became empty.
   if (obs::kTraceCompiledIn && result.attack_injected_at >= 0.0 &&
       bus.wants(obs::TraceLevel::Summary)) {
+    const net::Prefix scored = scenario::scored_prefix(victim, config_.strategy, attackers);
     bgp::AsnSet on_false_route;
     double last_cleared = -1.0;
     bool ever_adopted = false;
-    for (const obs::TraceEvent& event : bus.events()) {
-      if (event.kind != obs::EventKind::RoutePreferred &&
-          event.kind != obs::EventKind::RouteDepreferred) {
+    for (const obs::TraceEvent& change : bus.events()) {
+      if (change.kind != obs::EventKind::RoutePreferred &&
+          change.kind != obs::EventKind::RouteDepreferred) {
         continue;
       }
-      if (!event.has_prefix || !(event.prefix == scored_prefix)) continue;
-      if (attackers.contains(event.actor)) continue;
-      const bool now_false = event.kind == obs::EventKind::RoutePreferred &&
-                             event.value2 > 0 &&
-                             attackers.contains(static_cast<bgp::Asn>(event.value2));
+      if (!change.has_prefix || !(change.prefix == scored)) continue;
+      if (attackers.contains(change.actor)) continue;
+      const bool now_false = change.kind == obs::EventKind::RoutePreferred &&
+                             change.value2 > 0 &&
+                             attackers.contains(static_cast<bgp::Asn>(change.value2));
       if (now_false) {
         ever_adopted = true;
-        on_false_route.insert(event.actor);
-      } else if (on_false_route.erase(event.actor) > 0 && on_false_route.empty()) {
-        last_cleared = event.at;
+        on_false_route.insert(change.actor);
+      } else if (on_false_route.erase(change.actor) > 0 && on_false_route.empty()) {
+        last_cleared = change.at;
       }
     }
     if (!ever_adopted) {
@@ -467,109 +473,19 @@ RunResult Experiment::run_event(const bgp::AsnSet& origins, const bgp::AsnSet& a
     }
   }
 
-  result.rejections = static_cast<std::size_t>(result.metrics.counter("detector.rejections"));
-  result.messages = result.metrics.counter("network.messages_sent");
-  result.withdrawals = result.metrics.counter("router.withdrawals_sent");
-  result.announcements = result.metrics.counter("router.announcements_sent");
-  result.stale_retained = result.metrics.counter("router.stale_retained");
-  result.stale_swept = result.metrics.counter("router.stale_swept");
-  result.routes_withdrawn = result.metrics.counter("router.routes_withdrawn");
-  result.error_withdraws = result.metrics.counter("router.error_withdraws");
-  // The registry is the source of truth for resolver load too: the scalars
-  // are read back out of it (and the names exist even for resolver-less
-  // runs, so manifest consumers can rely on them unconditionally).
-  result.metrics.count("resolver.queries", 0);
-  result.metrics.count("resolver.cache_hits", 0);
-  result.resolver_queries = result.metrics.counter("resolver.queries");
-  result.resolver_cache_hits = result.metrics.counter("resolver.cache_hits") +
-                               result.metrics.counter("resolver.cache_negative_hits");
-  if (!attackers.empty()) {
-    result.structural_cutoff = topo::fraction_cut_off(*graph_, origins, attackers);
-  }
-  if (config_.keep_final_ribs) {
-    for (bgp::Asn asn : all_ases) {
-      const bgp::LocRib& rib = network.router(asn).loc_rib();
-      for (const net::Prefix& prefix : rib.prefixes()) {
-        result.final_ribs.push_back({asn, *rib.best(prefix)});
-      }
-    }
-  }
-  if (config_.keep_trace) result.trace = bus.take();
+  finish_run(result, network, config_, *graph_, all_ases, victim, origins, attackers);
+  if (event.keep_trace) result.trace = bus.take();
   return result;
 }
 
-double Experiment::account_alarms(RunResult& result, const AlarmLog& alarms,
-                                  const bgp::AsnSet& attackers) const {
-  result.alarms = alarms.size();
-  result.alarms_pending = alarms.count_state(MoasAlarm::State::Pending);
-  result.alarms_resolved = alarms.count_state(MoasAlarm::State::Resolved);
-  result.alarms_expired = alarms.count_state(MoasAlarm::State::Expired);
-  // Settle latency (alarm raised -> terminal state): instantaneous on the
-  // synchronous path, and exactly the resolution latency the degraded mode
-  // added on the async path — the bounded-inflation gate reads this.
-  {
-    auto& settle =
-        result.metrics.histogram("detector.alarm_settle_latency", kAlarmLatencySpec);
-    for (const MoasAlarm& alarm : alarms.alarms()) {
-      if (alarm.settled_at >= 0.0) settle.add(alarm.settled_at - alarm.at);
-    }
-  }
-  double first_alarm_at = -1.0;
-  for (const MoasAlarm& alarm : alarms.alarms()) {
-    const bool implicates_attacker =
-        std::any_of(attackers.begin(), attackers.end(), [&](bgp::Asn a) {
-          return alarm.offending_origins.contains(a) || alarm.observed_list.contains(a) ||
-                 alarm.reference_list.contains(a);
-        });
-    if (!implicates_attacker) {
-      ++result.false_alarms;
-    } else if (first_alarm_at < 0.0 || alarm.at < first_alarm_at) {
-      first_alarm_at = alarm.at;
-    }
-  }
-  return first_alarm_at;
-}
-
-RunResult Experiment::run_wave(const bgp::AsnSet& origins, const bgp::AsnSet& attackers,
-                               std::uint64_t seed) const {
+RunResult Experiment::run(const WaveRun& /*wave*/, const bgp::AsnSet& origins,
+                          const bgp::AsnSet& attackers, std::uint64_t seed) const {
   util::Rng rng(seed);
-
   const net::Prefix victim = topo::prefix_for_asn(*origins.begin());
+  std::shared_ptr<OriginResolver> resolver =
+      make_resolver(config_, ground_truth(victim, origins), victim, attackers, rng);
 
-  // Ground truth / registry databases — the same construction (and the same
-  // rng draws) as run_event, so one PlannedRun seed resolves to the same
-  // resolver behavior under either engine.
-  auto truth = std::make_shared<PrefixOriginDb>();
-  truth->set(victim, origins);
-  std::shared_ptr<OriginResolver> resolver;
-  switch (config_.resolver) {
-    case ResolverKind::Oracle:
-      resolver = std::make_shared<OracleResolver>(truth);
-      break;
-    case ResolverKind::Dns: {
-      DnsResolver::Config dns;
-      dns.unavailability = config_.dns_unavailability;
-      dns.forgery = config_.dns_forgery;
-      if (!attackers.empty()) dns.forged_answer = attackers;
-      dns.seed = rng.next();
-      resolver = std::make_shared<DnsResolver>(truth, dns);
-      break;
-    }
-    case ResolverKind::Irr: {
-      auto stale = std::make_shared<PrefixOriginDb>();
-      if (!config_.irr_stale_origins.empty()) stale->set(victim, config_.irr_stale_origins);
-      IrrResolver::Config irr;
-      irr.staleness = config_.irr_staleness;
-      irr.seed = rng.next();
-      resolver = std::make_shared<IrrResolver>(truth, stale, irr);
-      break;
-    }
-    case ResolverKind::None:
-      resolver = nullptr;  // alarm-only detectors
-      break;
-  }
-
-  // run_event draws the network seed here; burn the same draw so the
+  // The event run draws its network seed here; burn the same draw so the
   // deployment and stripping samples below land on the same stream offsets
   // — the differential gate compares the two engines run-for-run, and that
   // only means anything if a run's capable set matches across engines.
@@ -582,55 +498,21 @@ RunResult Experiment::run_wave(const bgp::AsnSet& origins, const bgp::AsnSet& at
   // Resolver cache on a frozen clock: entries never expire, which is the
   // right model for a timeless run — within one run the registry answer for
   // a prefix is fixed anyway.
-  std::shared_ptr<OriginResolver> backend = resolver;
-  std::shared_ptr<CachingResolver> cache;
-  if (resolver && config_.resolver_cache_ttl > 0.0) {
-    CachingResolver::Config cache_config;
-    cache_config.ttl = config_.resolver_cache_ttl;
-    cache_config.negative_ttl = std::min(config_.resolver_cache_ttl, 5.0);
-    cache = std::make_shared<CachingResolver>(backend, [] { return 0.0; }, cache_config);
-    resolver = cache;
-  }
+  resolver = with_cache(std::move(resolver), config_.resolver_cache_ttl, [] { return 0.0; });
 
   const std::vector<bgp::Asn> all_ases = graph_->nodes();
-
-  // Detector deployment — identical sampling (and rng draws) to run_event.
   auto alarms = std::make_shared<AlarmLog>();
-  std::vector<std::shared_ptr<MoasDetector>> detectors;
-  bgp::AsnSet capable;
-  if (config_.deployment == Deployment::Full) {
-    for (bgp::Asn asn : all_ases) capable.insert(asn);
-  } else if (config_.deployment == Deployment::Partial) {
-    const auto want = static_cast<std::size_t>(
-        std::lround(config_.deployment_fraction * static_cast<double>(all_ases.size())));
-    for (std::size_t i : rng.sample_indices(all_ases.size(), want)) {
-      capable.insert(all_ases[i]);
-    }
-  }
-  for (bgp::Asn asn : capable) {
-    if (attackers.contains(asn)) continue;
-    auto detector = std::make_shared<MoasDetector>(alarms, resolver);
-    wave.router(asn).set_validator(detector);
-    detectors.push_back(std::move(detector));
-  }
+  const std::vector<std::shared_ptr<MoasDetector>> detectors =
+      scenario::deploy_detectors(wave, config_.deployment, config_.deployment_fraction,
+                                 all_ases, attackers, alarms, resolver, rng);
+  sample_strippers(wave, config_.strip_fraction, all_ases, origins, rng);
 
-  if (config_.strip_fraction > 0.0) {
-    std::vector<bgp::Asn> pool = all_ases;
-    std::erase_if(pool, [&](bgp::Asn asn) { return origins.contains(asn); });
-    const auto want = static_cast<std::size_t>(
-        std::lround(config_.strip_fraction * static_cast<double>(pool.size())));
-    for (std::size_t i : rng.sample_indices(pool.size(), want)) {
-      wave.router(pool[i]).set_strip_communities(true);
-    }
-  }
-
-  // Origination. No clock, so no scheduling jitter: valid originations are
-  // seeded, then (racing mode) the attacks, and the sweeps run everything
-  // to the fixpoint together. Under converge_before_attack the valid
-  // routes reach their fixpoint first and the attack hits the converged
-  // state incrementally — the wave analog of the two-phase event run.
-  bgp::PathAttributes origin_attrs;  // width-split MOAS list carrier
-  if (origins.size() > 1) attach_moas_list(origin_attrs, origins);
+  // No clock, so no scheduling jitter: valid originations are seeded, then
+  // (racing mode) the attacks, and the sweeps run everything to the
+  // fixpoint together. Under converge_before_attack the valid routes reach
+  // their fixpoint first and the attack hits the converged state
+  // incrementally — the wave analog of the two-phase event run.
+  const bgp::PathAttributes origin_attrs = scenario::origin_attrs(origins);
   for (bgp::Asn origin : origins) {
     wave.router(origin).originate(victim, origin_attrs.communities,
                                   origin_attrs.large_communities);
@@ -638,88 +520,22 @@ RunResult Experiment::run_wave(const bgp::AsnSet& origins, const bgp::AsnSet& at
 
   RunResult result;
   if (config_.converge_before_attack) {
-    const auto phase_start = std::chrono::steady_clock::now();
-    wave.propagate();
-    result.propagation_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - phase_start)
-            .count();
+    result.propagation_seconds += scenario::elapsed_seconds([&] { wave.propagate(); });
   }
-
   for (bgp::Asn attacker : attackers) {
-    AttackPlan plan;
-    plan.attacker = attacker;
-    plan.target = victim;
-    plan.valid_origins = origins;
-    plan.strategy = config_.strategy;
-    launch_attack(wave.router(attacker), plan);
+    launch_attack(wave.router(attacker), AttackPlan{attacker, victim, origins, config_.strategy});
   }
-  const auto sweep_start = std::chrono::steady_clock::now();
-  wave.propagate();
-  result.propagation_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start)
-          .count();
+  result.propagation_seconds += scenario::elapsed_seconds([&] { wave.propagate(); });
   result.quiesced = true;  // propagate() returns only at the fixpoint
-
-  // Scoring — identical to run_event.
-  net::Prefix scored_prefix = victim;
-  if (config_.strategy == AttackerStrategy::SubPrefixHijack && !attackers.empty()) {
-    scored_prefix = victim.children().first;
-  }
-  result.total_ases = all_ases.size();
-  result.attackers = attackers.size();
-  result.origin_set = origins;
-  result.attacker_set = attackers;
-  for (bgp::Asn asn : all_ases) {
-    if (attackers.contains(asn)) continue;
-    ++result.population;
-    const bgp::Router& router = wave.router(asn);
-    const auto hijacked_origin = router.best_origin(scored_prefix);
-    if (hijacked_origin && attackers.contains(*hijacked_origin)) {
-      ++result.adopted_false;
-      continue;
-    }
-    const auto valid_origin = router.best_origin(victim);
-    if (!valid_origin) {
-      ++result.no_route;
-    } else if (origins.contains(*valid_origin)) {
-      ++result.adopted_valid;
-    } else if (attackers.contains(*valid_origin)) {
-      ++result.adopted_false;
-    }
-  }
 
   wave.collect_metrics(result.metrics);
   for (const auto& detector : detectors) detector->collect_metrics(result.metrics);
   if (resolver) resolver->collect_metrics(result.metrics);
 
-  account_alarms(result, *alarms, attackers);
   // attack_injected_at / first_alarm_latency / eviction_latency stay -1:
   // a timeless engine has no latencies to report.
-
-  result.rejections = static_cast<std::size_t>(result.metrics.counter("detector.rejections"));
-  result.messages = result.metrics.counter("network.messages_sent");
-  result.withdrawals = result.metrics.counter("router.withdrawals_sent");
-  result.announcements = result.metrics.counter("router.announcements_sent");
-  result.stale_retained = result.metrics.counter("router.stale_retained");
-  result.stale_swept = result.metrics.counter("router.stale_swept");
-  result.routes_withdrawn = result.metrics.counter("router.routes_withdrawn");
-  result.error_withdraws = result.metrics.counter("router.error_withdraws");
-  result.metrics.count("resolver.queries", 0);
-  result.metrics.count("resolver.cache_hits", 0);
-  result.resolver_queries = result.metrics.counter("resolver.queries");
-  result.resolver_cache_hits = result.metrics.counter("resolver.cache_hits") +
-                               result.metrics.counter("resolver.cache_negative_hits");
-  if (!attackers.empty()) {
-    result.structural_cutoff = topo::fraction_cut_off(*graph_, origins, attackers);
-  }
-  if (config_.keep_final_ribs) {
-    for (bgp::Asn asn : all_ases) {
-      const bgp::LocRib& rib = wave.router(asn).loc_rib();
-      for (const net::Prefix& prefix : rib.prefixes()) {
-        result.final_ribs.push_back({asn, *rib.best(prefix)});
-      }
-    }
-  }
+  account_alarms(result, *alarms, attackers);
+  finish_run(result, wave, config_, *graph_, all_ases, victim, origins, attackers);
   return result;
 }
 

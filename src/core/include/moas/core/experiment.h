@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "moas/bgp/network.h"
@@ -51,59 +52,27 @@ const char* to_string(Deployment deployment);
 
 enum class ResolverKind : std::uint8_t { Oracle, Dns, Irr, None };
 
-/// Which propagation backend executes a run.
-///
-/// Event: the SSFnet-style timed simulation (bgp::Network over the event
-/// queue) — message delays, MRAI pacing, churn, latency metrics.
-/// Wave: the rank-ordered three-sweep engine (sim::WaveEngine) — the same
-/// converged Loc-RIBs at O(edges) per prefix, no clock. Wave runs reject
-/// every event-time knob loudly (see the Experiment constructor): MRAI must
-/// be 0, prefer_established false, and churn / async resolution / graceful
-/// restart / revised error handling / tracing / invariant audits off.
-enum class Engine : std::uint8_t { Event, Wave };
-
-const char* to_string(Engine engine);
-
 /// Where attackers may be placed.
 enum class AttackerPlacement : std::uint8_t { Anywhere, StubsOnly, TransitOnly };
 
-struct ExperimentConfig {
-  /// Propagation backend (see Engine). The default is the paper-faithful
-  /// event simulation; Wave trades event-time fidelity for O(edges) runs.
-  Engine engine = Engine::Event;
-
-  Deployment deployment = Deployment::Full;
-  double deployment_fraction = 0.5;  // MOAS-capable share under Partial
-
-  std::size_t num_origins = 1;  // 1 or 2 valid origin ASes
-  AttackerStrategy strategy = AttackerStrategy::OwnList;
-  AttackerPlacement placement = AttackerPlacement::Anywhere;
-
-  bgp::PolicyMode policy = bgp::PolicyMode::ShortestPath;
+/// A run on the event engine: the SSFnet-style timed simulation
+/// (bgp::Network over the event queue) — message delays, MRAI pacing,
+/// churn, latency metrics. Every field here needs the event clock, which is
+/// why only this engine has them. Callers build it with designated
+/// initializers; the `{}` on the optional fields keeps GCC's
+/// -Wmissing-field-initializers quiet when an initializer skips them.
+struct EventRun {
   /// Per-router MRAI (seconds); 0 disables. Defaults to the BGP-4 standard
   /// 30s, which (as in real BGP) suppresses the path-exploration storm on
   /// dense topologies without changing the converged outcome.
   double mrai = 30.0;
-  double strip_fraction = 0.0;  // routers that drop communities on export
 
   /// Route-age preference (keep the established best on attribute-key
   /// ties). On by default — the stability step real BGP implementations
-  /// apply — but it makes the event engine's converged tie winners depend
-  /// on message timing. The wave engine is timeless and REQUIREs this off;
-  /// turn it off on the event engine too when differentially comparing the
-  /// two (DESIGN.md §10).
+  /// apply — but it makes the converged tie winners depend on message
+  /// timing. Turn it off when differentially comparing against the wave
+  /// engine, which always breaks ties by lowest neighbor ASN (DESIGN.md §10).
   bool prefer_established = true;
-
-  ResolverKind resolver = ResolverKind::Oracle;
-  double dns_unavailability = 0.0;  // when resolver == Dns
-  double dns_forgery = 0.0;
-  double irr_staleness = 0.0;  // when resolver == Irr
-  bgp::AsnSet irr_stale_origins;  // what a stale IRR record answers
-
-  /// Wrap the resolver in a CachingResolver with this TTL (seconds); 0
-  /// disables. Under churn the same prefix alarms repeatedly, and without a
-  /// cache every alarm is a fresh registry lookup.
-  double resolver_cache_ttl = 0.0;
 
   /// Asynchronous fault-tolerant resolution. When set, conflict
   /// investigation goes through a clock-driven AsyncResolver (timeouts,
@@ -112,14 +81,14 @@ struct ExperimentConfig {
   /// alarm lifecycle (Pending alarms that later Resolve or Expire) instead
   /// of blocking on the synchronous resolver. The async seed is mixed with
   /// the run seed, so one run seed reproduces the latency draws too.
-  std::optional<AsyncResolver::Config> async_resolution;
+  std::optional<AsyncResolver::Config> async_resolution{};
   /// Add an IRR source (knobbed by irr_staleness / irr_stale_origins) behind
   /// the primary backend in the fallback chain. Only with async_resolution.
   bool async_fallback_irr = false;
   /// Seeded registry outage windows and latency spikes replayed against the
   /// async sources. The seed is XOR-mixed with the run seed, like churn.
   /// Only meaningful with async_resolution.
-  std::optional<chaos::RegistryOutageConfig> registry_outage;
+  std::optional<chaos::RegistryOutageConfig> registry_outage{};
 
   /// RFC 4724 graceful restart, negotiated network-wide. Router crashes
   /// then leave peers' learned routes in use (marked stale) until the
@@ -134,24 +103,12 @@ struct ExperimentConfig {
   /// routes it carried — not the whole session's worth of detector evidence.
   bool revised_error_handling = false;
 
-  /// Off (default): valid and false announcements race from a cold start —
-  /// one SSFnet scenario per run, which is what reproduces the paper's
-  /// numbers (cut-off ASes never hear the valid route and adopt the false
-  /// one). On: the valid routes converge first and the attack hits a
-  /// steady-state network — an ablation showing that pre-seeded reference
-  /// lists make full deployment essentially immune.
-  bool converge_before_attack = false;
-
-  double link_delay = 0.05;
-  double jitter = 0.02;
-  std::size_t max_events = 50'000'000;
-
   /// Background churn: a seeded fault schedule (link flaps, session resets,
   /// router crashes, message-level faults) replayed while the run's
   /// announcements and attacks play out. The schedule seed is XOR-mixed
   /// with the run seed, so one run seed reproduces workload and faults
   /// alike. nullopt = the classic fault-free run.
-  std::optional<chaos::ScheduleConfig> churn;
+  std::optional<chaos::ScheduleConfig> churn{};
 
   /// Audit the NetworkInvariantChecker (plus the MOAS-layer custom checks)
   /// at final quiescence; violations are reported in RunResult.
@@ -164,6 +121,49 @@ struct ExperimentConfig {
   /// Keep the raw event stream in RunResult::trace after the run's own
   /// latency computation. Off by default — a Full-level stream is large.
   bool keep_trace = false;
+};
+
+/// A run on the wave engine: the rank-ordered three-sweep engine
+/// (sim::WaveEngine) — the same converged Loc-RIBs at O(edges) per prefix,
+/// no clock. It has nothing to configure: MRAI, route age, churn, async
+/// resolution, graceful restart, wire-level error handling, tracing and
+/// invariant audits are all event-time concepts (DESIGN.md §10).
+struct WaveRun {};
+
+struct ExperimentConfig {
+  /// Propagation backend and its own settings. The default is the
+  /// paper-faithful event simulation; WaveRun trades event-time fidelity for
+  /// O(edges) runs.
+  std::variant<EventRun, WaveRun> engine;
+
+  Deployment deployment = Deployment::Full;
+  double deployment_fraction = 0.5;  // MOAS-capable share under Partial
+
+  std::size_t num_origins = 1;  // 1 or 2 valid origin ASes
+  AttackerStrategy strategy = AttackerStrategy::OwnList;
+  AttackerPlacement placement = AttackerPlacement::Anywhere;
+
+  bgp::PolicyMode policy = bgp::PolicyMode::ShortestPath;
+  double strip_fraction = 0.0;  // routers that drop communities on export
+
+  ResolverKind resolver = ResolverKind::Oracle;
+  double dns_unavailability = 0.0;  // when resolver == Dns
+  double dns_forgery = 0.0;
+  double irr_staleness = 0.0;  // when resolver == Irr
+  bgp::AsnSet irr_stale_origins;  // what a stale IRR record answers
+
+  /// Wrap the resolver in a CachingResolver with this TTL (seconds); 0
+  /// disables. Under churn the same prefix alarms repeatedly, and without a
+  /// cache every alarm is a fresh registry lookup.
+  double resolver_cache_ttl = 0.0;
+
+  /// Off (default): valid and false announcements race from a cold start —
+  /// one SSFnet scenario per run, which is what reproduces the paper's
+  /// numbers (cut-off ASes never hear the valid route and adopt the false
+  /// one). On: the valid routes converge first and the attack hits a
+  /// steady-state network — an ablation showing that pre-seeded reference
+  /// lists make full deployment essentially immune.
+  bool converge_before_attack = false;
 
   /// Snapshot every router's final Loc-RIB into RunResult::final_ribs.
   /// Off by default (it is O(ASes) memory per run); the event-vs-wave
@@ -252,7 +252,7 @@ struct RunResult {
   /// byte-identical for equal seeds — bench arms compare these to prove two
   /// configurations saw the same fault schedule.
   std::string outage_log;
-  /// Violations found when ExperimentConfig::check_invariants is set.
+  /// Violations found when EventRun::check_invariants is set.
   std::vector<std::string> invariant_report;
 
   /// Alarm-latency instrumentation (simulated seconds; -1 = not applicable).
@@ -269,7 +269,7 @@ struct RunResult {
   bool false_route_stuck = false;
 
   /// Wall-clock seconds spent inside the engine's propagation phase alone —
-  /// the event-queue drains (run_event) or the wave sweeps (run_wave) —
+  /// the event-queue drains (EventRun) or the wave sweeps (WaveRun) —
   /// excluding scenario setup and scoring. Real time, not simulated: it is
   /// NOT in the metrics registry and never enters a determinism comparison;
   /// micro_wave_vs_event reads it for the per-prefix speedup gate.
@@ -280,7 +280,7 @@ struct RunResult {
   /// counters above are read back out of this registry — it is the source
   /// of truth, not a parallel bookkeeping path.
   obs::MetricsRegistry metrics;
-  /// The raw event stream (only with ExperimentConfig::keep_trace).
+  /// The raw event stream (only with EventRun::keep_trace).
   std::vector<obs::TraceEvent> trace;
   /// Every router's converged Loc-RIB, sorted by (asn, prefix) — only with
   /// ExperimentConfig::keep_final_ribs. Both engines populate it the same
@@ -351,8 +351,6 @@ class Experiment {
   /// connected and contain at least one stub.
   Experiment(const topo::AsGraph& graph, ExperimentConfig config);
 
-  const ExperimentConfig& config() const { return config_; }
-
   /// Draw random origins/attackers and run one simulation.
   RunResult run_once(std::size_t num_attackers, util::Rng& rng) const;
 
@@ -393,7 +391,7 @@ class Experiment {
   std::vector<SweepPoint> reduce_plan(const SweepPlan& plan,
                                       const std::vector<RunResult>& results) const;
 
-  /// Random distinct origin stubs per config().num_origins.
+  /// Random distinct origin stubs per ExperimentConfig::num_origins.
   bgp::AsnSet draw_origins(util::Rng& rng) const;
 
   /// Random attacker set avoiding `origins`, honoring placement.
@@ -401,19 +399,13 @@ class Experiment {
                              util::Rng& rng) const;
 
  private:
-  /// The event-queue backend (the historical run_with body).
-  RunResult run_event(const bgp::AsnSet& origins, const bgp::AsnSet& attackers,
-                      std::uint64_t seed) const;
-  /// The rank-ordered wave backend. Consumes the run seed in the same draw
-  /// order as run_event up through the deployment/stripping samples, so a
-  /// PlannedRun resolves to the same capable set under either engine.
-  RunResult run_wave(const bgp::AsnSet& origins, const bgp::AsnSet& attackers,
-                     std::uint64_t seed) const;
-  /// Alarm bookkeeping shared by both engines: lifecycle counts, settle
-  /// histogram, false-alarm classification. Returns the earliest
-  /// attacker-implicating alarm time (-1 if none).
-  double account_alarms(RunResult& result, const AlarmLog& alarms,
-                        const bgp::AsnSet& attackers) const;
+  /// One run per engine. Both consume the run seed in the same draw order
+  /// up through the deployment and stripping samples, so a PlannedRun
+  /// resolves to the same capable set under either engine.
+  RunResult run(const EventRun& event, const bgp::AsnSet& origins,
+                const bgp::AsnSet& attackers, std::uint64_t seed) const;
+  RunResult run(const WaveRun& wave, const bgp::AsnSet& origins,
+                const bgp::AsnSet& attackers, std::uint64_t seed) const;
 
   const topo::AsGraph* graph_;
   ExperimentConfig config_;

@@ -1,18 +1,13 @@
 #include "moas/core/multi_prefix.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <vector>
 
-#include "moas/core/alarm.h"
-#include "moas/core/detector.h"
-#include "moas/core/moas_list.h"
-#include "moas/core/resolver.h"
 #include "moas/sim/wave_engine.h"
 #include "moas/util/assert.h"
-#include "moas/util/rng.h"
+#include "scenario.h"
 
 namespace moas::core {
 
@@ -28,7 +23,7 @@ namespace {
 struct PrefixPlan {
   net::Prefix victim;
   AsnSet origins;
-  bgp::Asn attacker = bgp::kNoAs;  // kNoAs: this prefix is not attacked
+  AsnSet attackers;  // empty, or the one AS attacking this prefix
 };
 
 // Pre-interning layout model (see MultiPrefixResult::baseline_rib_bytes).
@@ -96,7 +91,7 @@ MultiPrefixResult run_multi_prefix(const topo::AsGraph& graph,
       for (;;) {
         const bgp::Asn candidate = all_ases[rng.index(all_ases.size())];
         if (all_attackers.contains(candidate) || plan.origins.contains(candidate)) continue;
-        plan.attacker = candidate;
+        plan.attackers.insert(candidate);
         all_attackers.insert(candidate);
         break;
       }
@@ -109,27 +104,11 @@ MultiPrefixResult run_multi_prefix(const topo::AsGraph& graph,
   wave_config.mode = config.policy;
   sim::WaveEngine wave(graph, wave_config);
 
-  // Detector deployment — the single-prefix wave-run wiring: capable ASes
-  // get an import validator against the oracle, attackers never do.
+  // Detector deployment — the single-prefix run wiring against the oracle.
   auto alarms = std::make_shared<AlarmLog>();
-  auto resolver = std::make_shared<OracleResolver>(truth);
-  std::vector<std::shared_ptr<MoasDetector>> detectors;
-  AsnSet capable;
-  if (config.deployment == Deployment::Full) {
-    for (bgp::Asn asn : all_ases) capable.insert(asn);
-  } else if (config.deployment == Deployment::Partial) {
-    const auto want = static_cast<std::size_t>(std::lround(
-        config.deployment_fraction * static_cast<double>(all_ases.size())));
-    for (std::size_t i : rng.sample_indices(all_ases.size(), want)) {
-      capable.insert(all_ases[i]);
-    }
-  }
-  for (bgp::Asn asn : capable) {
-    if (all_attackers.contains(asn)) continue;
-    auto detector = std::make_shared<MoasDetector>(alarms, resolver);
-    wave.router(asn).set_validator(detector);
-    detectors.push_back(std::move(detector));
-  }
+  scenario::deploy_detectors(wave, config.deployment, config.deployment_fraction, all_ases,
+                             all_attackers, alarms, std::make_shared<OracleResolver>(truth),
+                             rng);
 
   // Block-iterated origination: seed one block's valid routes and attacks,
   // run to the fixpoint, move on. The converged tables are block-size
@@ -141,64 +120,35 @@ MultiPrefixResult run_multi_prefix(const topo::AsGraph& graph,
     const std::size_t end = std::min(start + config.block_size, plans.size());
     for (std::size_t i = start; i < end; ++i) {
       const PrefixPlan& plan = plans[i];
-      bgp::PathAttributes origin_attrs;
-      if (plan.origins.size() > 1) attach_moas_list(origin_attrs, plan.origins);
+      const bgp::PathAttributes origin_attrs = scenario::origin_attrs(plan.origins);
       for (bgp::Asn origin : plan.origins) {
         wave.router(origin).originate(plan.victim, origin_attrs.communities,
                                       origin_attrs.large_communities);
       }
-      if (plan.attacker != bgp::kNoAs) {
-        AttackPlan attack;
-        attack.attacker = plan.attacker;
-        attack.target = plan.victim;
-        attack.valid_origins = plan.origins;
-        attack.strategy = config.strategy;
-        launch_attack(wave.router(plan.attacker), attack);
+      for (bgp::Asn attacker : plan.attackers) {
+        launch_attack(wave.router(attacker),
+                      AttackPlan{attacker, plan.victim, plan.origins, config.strategy});
       }
     }
-    const auto block_start = std::chrono::steady_clock::now();
-    wave.propagate();
-    result.propagation_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - block_start)
-            .count();
+    result.propagation_seconds += scenario::elapsed_seconds([&] { wave.propagate(); });
     ++result.blocks;
   }
 
   // Scoring: the fig9/10 outcome tally per attacked prefix, summed.
   for (const PrefixPlan& plan : plans) {
-    if (plan.attacker == bgp::kNoAs) continue;
-    net::Prefix scored_prefix = plan.victim;
-    if (config.strategy == AttackerStrategy::SubPrefixHijack) {
-      scored_prefix = plan.victim.children().first;
-    }
-    for (bgp::Asn asn : all_ases) {
-      if (asn == plan.attacker) continue;
-      const bgp::Router& router = wave.router(asn);
-      const auto hijacked_origin = router.best_origin(scored_prefix);
-      if (hijacked_origin == std::optional<bgp::Asn>(plan.attacker)) {
-        ++result.adopted_false;
-        continue;
-      }
-      const auto valid_origin = router.best_origin(plan.victim);
-      if (!valid_origin) {
-        ++result.no_route;
-      } else if (plan.origins.contains(*valid_origin)) {
-        ++result.adopted_valid;
-      } else if (*valid_origin == plan.attacker) {
-        ++result.adopted_false;
-      }
-    }
+    if (plan.attackers.empty()) continue;
+    const scenario::Outcomes outcomes = scenario::score(
+        wave, all_ases, plan.victim, config.strategy, plan.origins, plan.attackers);
+    result.adopted_false += outcomes.adopted_false;
+    result.adopted_valid += outcomes.adopted_valid;
+    result.no_route += outcomes.no_route;
   }
 
   result.alarms = alarms->size();
-  for (const MoasAlarm& alarm : alarms->alarms()) {
-    const bool implicates_attacker =
-        std::any_of(all_attackers.begin(), all_attackers.end(), [&](bgp::Asn a) {
-          return alarm.offending_origins.contains(a) || alarm.observed_list.contains(a) ||
-                 alarm.reference_list.contains(a);
-        });
-    if (!implicates_attacker) ++result.false_alarms;
-  }
+  result.false_alarms = static_cast<std::size_t>(
+      std::count_if(alarms->alarms().begin(), alarms->alarms().end(), [&](const MoasAlarm& a) {
+        return !scenario::implicates_attacker(a, all_attackers);
+      }));
 
   for (bgp::Asn asn : all_ases) {
     const bgp::Router& router = wave.router(asn);

@@ -274,14 +274,14 @@ ExperimentConfig outage_config() {
   ExperimentConfig config;
   config.resolver = ResolverKind::Dns;
   config.dns_unavailability = 0.2;
-  config.async_resolution = AsyncResolver::Config{};
-  config.async_fallback_irr = true;
   chaos::RegistryOutageConfig outage;
   outage.outages = 2.0;
   outage.outage_mean = 20.0;
   outage.spikes = 1.0;
-  config.registry_outage = outage;
-  config.trace_level = obs::TraceLevel::Summary;
+  config.engine = EventRun{.async_resolution = AsyncResolver::Config{},
+                           .async_fallback_irr = true,
+                           .registry_outage = outage,
+                           .trace_level = obs::TraceLevel::Summary};
   return config;
 }
 

@@ -178,8 +178,7 @@ TEST(SweepParallel, TraceAndMetricsIdenticalAcrossJobs) {
   // them in plan order — so the concatenated JSONL trace and the reduced
   // per-point registries must be byte-identical for any job count.
   ExperimentConfig config = sweep_config();
-  config.trace_level = obs::TraceLevel::Summary;
-  config.keep_trace = true;
+  config.engine = EventRun{.trace_level = obs::TraceLevel::Summary, .keep_trace = true};
   const Experiment experiment(shared_topology(), config);
   const std::vector<double> fractions{0.05, 0.20};
 
@@ -218,9 +217,7 @@ TEST(SweepParallel, WaveEngineSweepBitIdenticalAcrossJobCounts) {
   // the reduction replays plan order, so sweep output — merged registries
   // included — is byte-identical for any job count.
   ExperimentConfig config = sweep_config();
-  config.engine = Engine::Wave;
-  config.mrai = 0.0;
-  config.prefer_established = false;
+  config.engine = WaveRun{};
   const Experiment experiment(shared_topology(), config);
   const std::vector<double> fractions{0.05, 0.20};
 

@@ -48,18 +48,15 @@ const topo::AsGraph& sampled(std::size_t size) {
 }
 
 ExperimentConfig event_arm(ExperimentConfig config) {
-  config.engine = Engine::Event;
   // Route-age preference is the deliberate fidelity difference — off on the
   // event arm too, or converged tie winners depend on message timing.
-  config.prefer_established = false;
+  config.engine = EventRun{.prefer_established = false};
   config.keep_final_ribs = true;
   return config;
 }
 
 ExperimentConfig wave_arm(ExperimentConfig config) {
-  config.engine = Engine::Wave;
-  config.mrai = 0.0;
-  config.prefer_established = false;
+  config.engine = WaveRun{};
   config.keep_final_ribs = true;
   return config;
 }
@@ -185,11 +182,11 @@ TEST(WaveDifferential, NoAttackConvergenceMatchesWithMoasList) {
 
 TEST(WaveDifferential, SeedsResolveToSameCapableAndStripSets) {
   // Partial deployment + community stripping consume the run-seed stream;
-  // run_wave mirrors run_event's draw order so the same PlannedRun resolves
-  // to the same capable/stripping sets — which this equality implies. The
-  // attack hits a pre-converged steady state: with partial detectors a
-  // racing start is history-dependent (DESIGN.md §10), and this test is
-  // about the seed plumbing, not the racing regime.
+  // the wave run mirrors the event run's draw order so the same PlannedRun
+  // resolves to the same capable/stripping sets — which this equality
+  // implies. The attack hits a pre-converged steady state: with partial
+  // detectors a racing start is history-dependent (DESIGN.md §10), and this
+  // test is about the seed plumbing, not the racing regime.
   ExperimentConfig config;
   config.deployment = Deployment::Partial;
   config.deployment_fraction = 0.5;
@@ -206,44 +203,6 @@ TEST(WaveDifferential, ConvergeBeforeAttackMatches) {
   config.deployment = Deployment::Full;
   config.converge_before_attack = true;
   run_differential(config, 0.10);
-}
-
-TEST(WaveExperiment, RejectsEventTimeKnobsLoudly) {
-  ExperimentConfig config;
-  config.engine = Engine::Wave;
-  config.prefer_established = false;
-  // mrai defaults to 30: a wave Experiment must refuse it rather than
-  // silently ignore pacing the engine cannot express.
-  EXPECT_THROW(Experiment(sampled(250), config), std::invalid_argument);
-  config.mrai = 0.0;
-  EXPECT_NO_THROW(Experiment(sampled(250), config));
-
-  ExperimentConfig bad = config;
-  bad.prefer_established = true;
-  EXPECT_THROW(Experiment(sampled(250), bad), std::invalid_argument);
-  bad = config;
-  bad.churn.emplace();
-  EXPECT_THROW(Experiment(sampled(250), bad), std::invalid_argument);
-  bad = config;
-  bad.async_resolution.emplace();
-  EXPECT_THROW(Experiment(sampled(250), bad), std::invalid_argument);
-  bad = config;
-  bad.graceful_restart = true;
-  EXPECT_THROW(Experiment(sampled(250), bad), std::invalid_argument);
-  bad = config;
-  bad.revised_error_handling = true;
-  EXPECT_THROW(Experiment(sampled(250), bad), std::invalid_argument);
-  bad = config;
-  bad.trace_level = obs::TraceLevel::Summary;
-  EXPECT_THROW(Experiment(sampled(250), bad), std::invalid_argument);
-  bad = config;
-  bad.check_invariants = true;
-  EXPECT_THROW(Experiment(sampled(250), bad), std::invalid_argument);
-}
-
-TEST(WaveExperiment, EngineNames) {
-  EXPECT_STREQ(to_string(Engine::Event), "event");
-  EXPECT_STREQ(to_string(Engine::Wave), "wave");
 }
 
 }  // namespace

@@ -164,7 +164,7 @@ TEST(Ablation, MraiDelaysButDoesNotChangeOutcome) {
   ExperimentConfig config;
   config.deployment = Deployment::Full;
   Experiment fast(topology(100), config);
-  config.mrai = 30.0;
+  config.engine = EventRun{.mrai = 30.0};
   Experiment paced(topology(100), config);
   util::Rng rng(10);
   const auto origins = fast.draw_origins(rng);

@@ -27,10 +27,11 @@ const topo::AsGraph& shared_topology() {
   return graph;
 }
 
-ExperimentConfig traced_config() {
+ExperimentConfig traced_config(obs::TraceLevel level = obs::TraceLevel::Summary,
+                               bool keep_trace = false) {
   ExperimentConfig config;
   config.deployment = Deployment::Full;
-  config.trace_level = obs::TraceLevel::Summary;
+  config.engine = EventRun{.trace_level = level, .keep_trace = keep_trace};
   return config;
 }
 
@@ -63,9 +64,8 @@ TEST(ObsLatency, NoAttackersMeansNoLatencies) {
 }
 
 TEST(ObsLatency, EvictionNeedsSummaryTracing) {
-  ExperimentConfig config = traced_config();
-  config.trace_level = obs::TraceLevel::Off;
-  const RunResult run = traced_run(config, /*attackers=*/2, /*seed=*/7);
+  const RunResult run =
+      traced_run(traced_config(obs::TraceLevel::Off), /*attackers=*/2, /*seed=*/7);
   // First-alarm latency comes from the alarm log and survives Off...
   EXPECT_GE(run.first_alarm_latency, 0.0);
   // ...but eviction is computed from the route-change stream, which an Off
@@ -90,9 +90,8 @@ TEST(ObsLatency, RunResultCountersComeFromTheRegistry) {
 }
 
 TEST(ObsLatency, KeepTraceReturnsTheEventStream) {
-  ExperimentConfig config = traced_config();
-  config.keep_trace = true;
-  const RunResult run = traced_run(config, /*attackers=*/2, /*seed=*/7);
+  const RunResult run = traced_run(traced_config(obs::TraceLevel::Summary, /*keep_trace=*/true),
+                                  /*attackers=*/2, /*seed=*/7);
   if (!obs::kTraceCompiledIn) {
     EXPECT_TRUE(run.trace.empty());
     return;
@@ -109,14 +108,12 @@ TEST(ObsLatency, KeepTraceReturnsTheEventStream) {
   }
   EXPECT_TRUE(saw_attack);
   // Without keep_trace the stream is discarded after the run's own use.
-  config.keep_trace = false;
-  EXPECT_TRUE(traced_run(config, 2, 7).trace.empty());
+  EXPECT_TRUE(traced_run(traced_config(), 2, 7).trace.empty());
 }
 
 TEST(ObsLatency, TracingDoesNotPerturbTheExperiment) {
-  ExperimentConfig off = traced_config();
-  off.trace_level = obs::TraceLevel::Off;
-  const RunResult untraced = traced_run(off, /*attackers=*/2, /*seed=*/13);
+  const RunResult untraced =
+      traced_run(traced_config(obs::TraceLevel::Off), /*attackers=*/2, /*seed=*/13);
   const RunResult traced = traced_run(traced_config(), /*attackers=*/2, /*seed=*/13);
   EXPECT_EQ(untraced.adopted_false, traced.adopted_false);
   EXPECT_EQ(untraced.alarms, traced.alarms);
