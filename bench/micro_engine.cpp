@@ -1,51 +1,17 @@
 // Engine microbenchmarks (google-benchmark): the hot paths under every
-// figure bench — trie operations, the decision process, MOAS-list checks,
-// and whole-network convergence.
+// figure bench — the decision process, MOAS-list checks and whole-network
+// convergence.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "moas/core/detector.h"
 #include "moas/core/moas_list.h"
-#include "moas/net/prefix_trie.h"
 #include "moas/topo/route_views.h"
 #include "moas/util/rng.h"
 
 using namespace moas;
 
 namespace {
-
-void BM_TrieInsert(benchmark::State& state) {
-  util::Rng rng(1);
-  std::vector<net::Prefix> prefixes;
-  for (int i = 0; i < 10000; ++i) {
-    prefixes.emplace_back(net::Ipv4Addr(static_cast<std::uint32_t>(rng.next())),
-                          static_cast<unsigned>(8 + rng.index(17)));
-  }
-  for (auto _ : state) {
-    net::PrefixTrie<int> trie;
-    for (const auto& p : prefixes) trie.insert(p, 1);
-    benchmark::DoNotOptimize(trie.size());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(prefixes.size()));
-}
-BENCHMARK(BM_TrieInsert);
-
-void BM_TrieLongestMatch(benchmark::State& state) {
-  util::Rng rng(2);
-  net::PrefixTrie<int> trie;
-  for (int i = 0; i < 100000; ++i) {
-    trie.insert(net::Prefix(net::Ipv4Addr(static_cast<std::uint32_t>(rng.next())),
-                            static_cast<unsigned>(8 + rng.index(17))),
-                i);
-  }
-  std::uint64_t probe = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        trie.longest_match(net::Ipv4Addr(static_cast<std::uint32_t>(probe += 2654435761u))));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TrieLongestMatch);
 
 void BM_DecisionProcess(benchmark::State& state) {
   // Pick the best among N candidates.
@@ -80,7 +46,7 @@ void BM_MoasListCheck(benchmark::State& state) {
   const bgp::AsnSet reference{4006, 2026};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::lists_consistent(core::effective_moas_list(route), reference));
+        core::lists_consistent(core::read_claim(route).list, reference));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -13,27 +13,11 @@ bool intersects(const AsnSet& a, const AsnSet& b) {
   return std::any_of(a.begin(), a.end(), [&](Asn x) { return b.contains(x); });
 }
 
-AsnSet difference(const AsnSet& a, const AsnSet& b) {
-  AsnSet out;
-  for (Asn x : a) {
-    if (!b.contains(x)) out.insert(x);
-  }
-  return out;
-}
-
-bool subset(const AsnSet& a, const AsnSet& b) {
-  return std::all_of(a.begin(), a.end(), [&](Asn x) { return b.contains(x); });
-}
-
 }  // namespace
 
 MoasDetector::MoasDetector(std::shared_ptr<AlarmLog> alarms,
                            std::shared_ptr<OriginResolver> resolver)
-    : MoasDetector(std::move(alarms), std::move(resolver), Config()) {}
-
-MoasDetector::MoasDetector(std::shared_ptr<AlarmLog> alarms,
-                           std::shared_ptr<OriginResolver> resolver, Config config)
-    : alarms_(std::move(alarms)), resolver_(std::move(resolver)), config_(config) {
+    : alarms_(std::move(alarms)), resolver_(std::move(resolver)) {
   MOAS_REQUIRE(alarms_ != nullptr, "detector needs an alarm log");
 }
 
@@ -43,31 +27,21 @@ bool MoasDetector::accept(const bgp::Route& route, bgp::Asn from_peer,
   const net::Prefix prefix = route.prefix;
   PrefixState& state = state_[prefix];
 
-  const AsnSet origins = route.origin_candidates();
-  const AsnSet incoming_list = effective_moas_list(route);
+  const MoasClaim claim = read_claim(route);
 
   // Fast path: the origin was already identified as false. The rejected
   // peer is one more witness asserting the banned origin — remember it so
   // the ban outlives the peer that originally triggered it.
-  if (intersects(origins, state.banned)) {
-    for (Asn asn : origins) {
+  if (intersects(claim.origins, state.banned)) {
+    for (Asn asn : claim.origins) {
       if (state.banned.contains(asn)) state.banned_support[asn].insert(from_peer);
-    }
-    if (config_.alarm_on_banned_repeat) {
-      // Needs no investigation — the rejection below *is* the response.
-      const std::size_t id = raise(ctx, prefix, state.reference, incoming_list, origins,
-                                   MoasAlarm::Cause::BannedOriginSeen);
-      alarms_->settle(id, MoasAlarm::State::Resolved, ctx.current_time());
     }
     ++stats_.rejections;
     return false;
   }
 
-  // Self-consistency: a route carrying an explicit list must include its
-  // own origin; otherwise it is bogus on its face.
-  if (config_.check_origin_in_list && has_explicit_moas_list(route) &&
-      !origins.empty() && !subset(origins, incoming_list)) {
-    const std::size_t id = raise(ctx, prefix, state.reference, incoming_list, origins,
+  if (!claim.self_consistent()) {
+    const std::size_t id = raise(ctx, prefix, state.reference, claim.list, claim.origins,
                                  MoasAlarm::Cause::OriginNotInList);
     alarms_->settle(id, MoasAlarm::State::Resolved, ctx.current_time());
     ++stats_.rejections;
@@ -85,28 +59,25 @@ bool MoasDetector::accept(const bgp::Route& route, bgp::Asn from_peer,
     if (rib_origins.empty()) {
       // First announcement for this prefix: adopt its list as the reference
       // ("is simply accepted if this is the first and only announcement").
-      state.reference = incoming_list;
+      state.reference = claim.list;
       state.supporters.insert(from_peer);
       return true;
     }
     state.reference = rib_origins;  // supporters stay empty: evidence-derived
   }
 
-  if (lists_consistent(state.reference, incoming_list)) {
+  if (lists_consistent(state.reference, claim.list)) {
     state.supporters.insert(from_peer);
     return true;
   }
 
-  return resolve_conflict(route, from_peer, ctx, state, incoming_list);
+  return resolve_conflict(prefix, claim, from_peer, ctx, state);
 }
 
-bool MoasDetector::resolve_conflict(const bgp::Route& route, bgp::Asn from_peer,
-                                    bgp::RouterContext& ctx, PrefixState& state,
-                                    const AsnSet& incoming_list) {
-  const net::Prefix prefix = route.prefix;
-  const AsnSet origins = route.origin_candidates();
-
-  const std::size_t alarm_id = raise(ctx, prefix, state.reference, incoming_list, origins,
+bool MoasDetector::resolve_conflict(const net::Prefix& prefix, const MoasClaim& claim,
+                                    bgp::Asn from_peer, bgp::RouterContext& ctx,
+                                    PrefixState& state) {
+  const std::size_t alarm_id = raise(ctx, prefix, state.reference, claim.list, claim.origins,
                                      MoasAlarm::Cause::ListMismatch);
 
   if (async_) {
@@ -119,8 +90,8 @@ bool MoasDetector::resolve_conflict(const bgp::Route& route, bgp::Asn from_peer,
     PendingConflict& pc = it->second;
     pc.ctx = &ctx;
     pc.alarm_ids.push_back(alarm_id);
-    for (Asn asn : origins) pc.asserted[asn].insert(from_peer);
-    for (Asn asn : incoming_list) pc.asserted[asn].insert(from_peer);
+    for (Asn asn : claim.origins) pc.asserted[asn].insert(from_peer);
+    for (Asn asn : claim.list) pc.asserted[asn].insert(from_peer);
     if (inserted) {
       // First conflict for this prefix: also implicate the current reference
       // and its supporters, then launch exactly one resolution. Later
@@ -162,11 +133,11 @@ bool MoasDetector::resolve_conflict(const bgp::Route& route, bgp::Asn from_peer,
   // surfaced. The sender of this route asserts its origins and list; the
   // old reference is asserted by its supporters.
   std::map<Asn, AsnSet> asserted;
-  for (Asn asn : origins) asserted[asn].insert(from_peer);
-  for (Asn asn : incoming_list) asserted[asn].insert(from_peer);
+  for (Asn asn : claim.origins) asserted[asn].insert(from_peer);
+  for (Asn asn : claim.list) asserted[asn].insert(from_peer);
   apply_truth(prefix, ctx, state, *truth, asserted, {alarm_id});
 
-  if (!subset(origins, *truth)) {
+  if (!covers(*truth, claim.origins)) {
     ++stats_.rejections;
     return false;
   }

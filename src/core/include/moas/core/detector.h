@@ -12,6 +12,12 @@
 // assumes. If resolution fails (or the detector runs alarm-only), the
 // announcement is accepted like plain BGP so that availability never
 // regresses below the baseline.
+//
+// Policy on top of the shared kernel (core/moas_list.h): lists are compared
+// by equality, because every route carries a list, explicit or implicit. A
+// route whose explicit list omits its own origin is rejected on sight, and a
+// route from an already-banned origin is rejected without a second alarm
+// (the first detection already flagged it).
 #pragma once
 
 #include <map>
@@ -32,21 +38,10 @@ namespace moas::core {
 
 class MoasDetector final : public bgp::ImportValidator {
  public:
-  struct Config {
-    /// Check that a route carrying an explicit list includes its own origin
-    /// (a self-inconsistent announcement is rejected on sight).
-    bool check_origin_in_list = true;
-    /// Re-raise an alarm when a banned origin shows up again (noisy; off by
-    /// default — the first detection already flagged it).
-    bool alarm_on_banned_repeat = false;
-  };
-
   /// `alarms` collects alarms across routers (shared per experiment);
   /// `resolver` may be null — then the detector only raises alarms and never
   /// filters (the "off-line monitoring only" deployment).
   MoasDetector(std::shared_ptr<AlarmLog> alarms, std::shared_ptr<OriginResolver> resolver);
-  MoasDetector(std::shared_ptr<AlarmLog> alarms, std::shared_ptr<OriginResolver> resolver,
-               Config config);
 
   /// Switch conflict investigation to the clock-driven fault-tolerant path:
   /// list mismatches raise a Pending alarm and enter degraded mode instead
@@ -138,9 +133,8 @@ class MoasDetector final : public bgp::ImportValidator {
                     const AsnSet& offending, MoasAlarm::Cause cause);
 
   /// Handle a list conflict; returns whether the incoming route is accepted.
-  bool resolve_conflict(const bgp::Route& route, bgp::Asn from_peer,
-                        bgp::RouterContext& ctx, PrefixState& state,
-                        const AsnSet& incoming_list);
+  bool resolve_conflict(const net::Prefix& prefix, const MoasClaim& claim,
+                        bgp::Asn from_peer, bgp::RouterContext& ctx, PrefixState& state);
 
   /// Apply a resolved truth: ban and purge false origins, adopt the
   /// reference, settle `alarm_ids`.
@@ -155,7 +149,6 @@ class MoasDetector final : public bgp::ImportValidator {
   std::shared_ptr<AlarmLog> alarms_;
   std::shared_ptr<OriginResolver> resolver_;
   std::shared_ptr<AsyncResolver> async_;
-  Config config_;
   std::map<net::Prefix, PrefixState> state_;
   std::map<net::Prefix, PendingConflict> pending_;
   std::uint64_t next_generation_ = 1;

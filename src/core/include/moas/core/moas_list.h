@@ -1,9 +1,17 @@
-// The MOAS list (the paper's Section 4.1/4.2).
+// The MOAS list (the paper's Section 4.1/4.2) and the consistency kernel
+// every checker calls.
 //
 // A MOAS list is the set of ASes entitled to originate a prefix. It is
 // carried in the standard BGP community attribute: the community X:MLVal
 // asserts "AS X may originate this prefix". Consistency between two lists is
 // plain set equality — order and duplication never matter.
+//
+// The kernel is the one copy of each MOAS decision: what a route claims
+// (read_claim), whether that claim is self-consistent, list equality, and
+// the two set relations the checkers build on (covers, difference). The
+// in-router MoasDetector, the offline MoasMonitor, the chaos invariants and
+// the streaming DetectorShard all call it; the policy each builds on top
+// stays in its own file.
 #pragma once
 
 #include <optional>
@@ -59,13 +67,27 @@ void attach_moas_list(bgp::CommunitySet& communities, const AsnSet& origins);
 /// replaced in BOTH attributes, other communities stay untouched.
 void attach_moas_list(bgp::PathAttributes& attrs, const AsnSet& origins);
 
-/// The list a checker must use for a route (the paper's footnote 3):
-/// the explicit list if the route carries one, otherwise the implicit
-/// {origin candidates} of the AS path.
-AsnSet effective_moas_list(const bgp::Route& route);
+/// True if every member of `members` is in `list`.
+bool covers(const AsnSet& list, const AsnSet& members);
 
-/// True if the route carries an explicit MOAS list.
-bool has_explicit_moas_list(const bgp::Route& route);
+/// The members of `observed` that are not in `reference`.
+AsnSet difference(const AsnSet& observed, const AsnSet& reference);
+
+/// What one route claims about its prefix's origins.
+struct MoasClaim {
+  AsnSet origins;              // the AS path's origin candidates
+  AsnSet list;                 // the effective MOAS list
+  bool explicit_list = false;  // the route carries a MOAS list
+
+  /// A route whose explicit list leaves out its own origin is bogus on its
+  /// face; a route without a list cannot contradict itself.
+  bool self_consistent() const { return !explicit_list || covers(list, origins); }
+};
+
+/// Decode a route's claim once. The effective list is the explicit list if
+/// the route carries one, otherwise the implicit {origin candidates} of the
+/// AS path (the paper's footnote 3).
+MoasClaim read_claim(const bgp::Route& route);
 
 /// Set equality — "the order in the list may differ, but the set of ASes
 /// included in each route announcement must be identical".

@@ -8,7 +8,9 @@
 // The monitor never touches the routers: it reads the Loc-RIBs of a set of
 // vantage ASes (the 'multiple peers' it downloads tables from) and raises an
 // alarm for every prefix whose effective MOAS lists disagree across
-// vantages.
+// vantages. Like the in-router detector it compares lists by equality
+// (core/moas_list.h), because every installed route carries a list,
+// explicit or implicit.
 #pragma once
 
 #include <cstdint>
@@ -64,12 +66,6 @@ class MoasMonitor {
   /// alarms raised by this pass (one per conflicting prefix, attributed to
   /// the first vantage that exposed the conflict).
   std::vector<MoasAlarm> scan(const bgp::Network& network) const;
-
-  /// Network-wide activity summary rendered from Network::collect_metrics()
-  /// — the aggregation the scattered per-router Stats never had. One line
-  /// per headline metric (updates, withdrawals, best changes, error
-  /// handling, transport counters).
-  std::string summary(const bgp::Network& network) const;
 
   const std::vector<bgp::Asn>& vantages() const { return vantages_; }
 

@@ -1,7 +1,5 @@
 #include "moas/core/moas_invariants.h"
 
-#include <algorithm>
-
 #include "moas/core/moas_list.h"
 
 namespace moas::core {
@@ -40,15 +38,9 @@ void register_moas_invariants(chaos::NetworkInvariantChecker& checker,
       const bgp::Router& router = network.router(asn);
       for (const net::Prefix& prefix : router.loc_rib().prefixes()) {
         const bgp::RibEntry* entry = router.loc_rib().best(prefix);
-        const bgp::Route& route = entry->route;
-        if (!has_explicit_moas_list(route)) continue;
-        const bgp::AsnSet list = effective_moas_list(route);
-        const bgp::AsnSet origins = route.origin_candidates();
-        const bool consistent = std::all_of(origins.begin(), origins.end(),
-                                            [&](bgp::Asn o) { return list.contains(o); });
-        if (!consistent) {
+        if (!read_claim(entry->route).self_consistent()) {
           out.push_back({"moas-list-self-consistent",
-                         std::to_string(asn) + " installed " + route.to_string() +
+                         std::to_string(asn) + " installed " + entry->route.to_string() +
                              " whose explicit MOAS list omits its own origin"});
         }
       }

@@ -1,5 +1,7 @@
 #include "moas/core/moas_list.h"
 
+#include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "moas/util/assert.h"
@@ -77,14 +79,24 @@ void attach_moas_list(bgp::PathAttributes& attrs, const AsnSet& origins) {
   }
 }
 
-AsnSet effective_moas_list(const bgp::Route& route) {
-  AsnSet explicit_list = decode_moas_list(route.attrs);
-  if (!explicit_list.empty()) return explicit_list;
-  return route.origin_candidates();
+bool covers(const AsnSet& list, const AsnSet& members) {
+  return std::includes(list.begin(), list.end(), members.begin(), members.end());
 }
 
-bool has_explicit_moas_list(const bgp::Route& route) {
-  return !decode_moas_list(route.attrs).empty();
+AsnSet difference(const AsnSet& observed, const AsnSet& reference) {
+  AsnSet out;
+  std::set_difference(observed.begin(), observed.end(), reference.begin(), reference.end(),
+                      std::inserter(out, out.end()));
+  return out;
+}
+
+MoasClaim read_claim(const bgp::Route& route) {
+  MoasClaim claim;
+  claim.origins = route.origin_candidates();
+  claim.list = decode_moas_list(route.attrs);
+  claim.explicit_list = !claim.list.empty();
+  if (!claim.explicit_list) claim.list = claim.origins;
+  return claim;
 }
 
 bool lists_consistent(const AsnSet& a, const AsnSet& b) { return a == b; }

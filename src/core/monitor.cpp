@@ -43,31 +43,6 @@ MoasMonitor::MoasMonitor(std::vector<bgp::Asn> vantages) : vantages_(std::move(v
   MOAS_REQUIRE(!vantages_.empty(), "monitor needs at least one vantage");
 }
 
-std::string MoasMonitor::summary(const bgp::Network& network) const {
-  const obs::MetricsRegistry registry = network.collect_metrics();
-  std::ostringstream os;
-  os << "network: " << static_cast<std::uint64_t>(registry.gauge("network.routers"))
-     << " routers, " << static_cast<std::uint64_t>(registry.gauge("network.links"))
-     << " links, " << registry.counter("network.messages_sent") << " messages ("
-     << registry.counter("network.messages_dropped") << " dropped)\n";
-  os << "updates: " << registry.counter("router.updates_sent") << " sent / "
-     << registry.counter("router.updates_received") << " received ("
-     << registry.counter("router.announcements_sent") << " announce, "
-     << registry.counter("router.withdrawals_sent") << " withdraw)\n";
-  os << "decisions: " << registry.counter("router.decisions") << " ("
-     << registry.counter("router.best_changes") << " best changes, "
-     << registry.counter("router.loops_detected") << " loops, "
-     << registry.counter("router.announcements_rejected") << " rejected)\n";
-  os << "error handling: " << registry.counter("router.error_withdraws")
-     << " error-withdraws, " << registry.counter("router.route_refreshes")
-     << " refreshes, " << registry.counter("router.routes_withdrawn")
-     << " routes withdrawn\n";
-  os << "graceful restart: " << registry.counter("router.stale_retained")
-     << " stale retained, " << registry.counter("router.stale_swept")
-     << " swept, " << registry.counter("router.eor_sent") << " EoR sent\n";
-  return os.str();
-}
-
 std::vector<MoasAlarm> MoasMonitor::scan(const bgp::Network& network) const {
   // prefix -> (first list seen, vantage that reported it)
   std::map<net::Prefix, std::pair<AsnSet, bgp::Asn>> reference;
@@ -79,9 +54,9 @@ std::vector<MoasAlarm> MoasMonitor::scan(const bgp::Network& network) const {
     for (const net::Prefix& prefix : router.loc_rib().prefixes()) {
       const bgp::RibEntry* entry = router.loc_rib().best(prefix);
       MOAS_ENSURE(entry != nullptr, "loc-rib listed a prefix without a best route");
-      const AsnSet list = effective_moas_list(entry->route);
-      auto [it, fresh] = reference.try_emplace(prefix, list, vantage);
-      if (fresh || lists_consistent(it->second.first, list)) continue;
+      MoasClaim claim = read_claim(entry->route);
+      auto [it, fresh] = reference.try_emplace(prefix, claim.list, vantage);
+      if (fresh || lists_consistent(it->second.first, claim.list)) continue;
       if (already_alarmed[prefix]) continue;
       already_alarmed[prefix] = true;
 
@@ -90,8 +65,8 @@ std::vector<MoasAlarm> MoasMonitor::scan(const bgp::Network& network) const {
       alarm.observer = vantage;
       alarm.prefix = prefix;
       alarm.reference_list = it->second.first;
-      alarm.observed_list = list;
-      alarm.offending_origins = entry->route.origin_candidates();
+      alarm.observed_list = std::move(claim.list);
+      alarm.offending_origins = std::move(claim.origins);
       alarm.cause = MoasAlarm::Cause::ListMismatch;
       out.push_back(std::move(alarm));
     }

@@ -5,6 +5,11 @@
 // were announced by more than one origin, regardless of whether the days
 // were continuous and regardless of whether the same set of origins was
 // involved."
+//
+// The observer counts cases; it makes no consistency decision, so it does
+// not call the MOAS kernel (core/moas_list.h). Its one test, "more than one
+// origin", is the same one the streaming shard accrues duration on, and
+// moas_measure sits below moas_core in the link order.
 #pragma once
 
 #include <cstddef>

@@ -7,7 +7,6 @@ namespace moas::obs {
 
 const char* to_string(EventKind kind) {
   switch (kind) {
-    case EventKind::SessionTransition: return "session-transition";
     case EventKind::UpdateSent: return "update-sent";
     case EventKind::UpdateReceived: return "update-received";
     case EventKind::WithdrawReceived: return "withdraw-received";

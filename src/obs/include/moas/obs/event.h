@@ -23,7 +23,6 @@
 namespace moas::obs {
 
 enum class EventKind : std::uint8_t {
-  SessionTransition,  // FSM state change; note = "OpenSent->Established"
   UpdateSent,         // router handed an UPDATE to the transport
   UpdateReceived,     // announcement processed at the receiver
   WithdrawReceived,   // withdrawal processed (note = "error-withdraw" if RFC 7606)
@@ -52,7 +51,7 @@ const char* to_string(EventKind kind);
 
 struct TraceEvent {
   sim::Time at = 0.0;
-  EventKind kind = EventKind::SessionTransition;
+  EventKind kind = EventKind::UpdateSent;
   std::uint32_t actor = 0;  // the AS where the event happened
   std::uint32_t peer = 0;   // the other side, when there is one (0 = none)
   bool has_prefix = false;

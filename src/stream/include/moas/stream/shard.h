@@ -7,6 +7,12 @@
 // TTL expiry) depends only on its own deterministic state and the batch
 // contents, which is what makes results byte-identical across --jobs.
 //
+// Policy on top of the shared kernel (core/moas_list.h): an update's origin
+// set conflicts when the adopted reference does not cover it, rather than
+// when the two differ, and a conflict that outlives the TTL is adopted. The
+// trace feed carries origin sets, not MOAS lists, so a shrinking set is no
+// evidence of forgery; and long-lived MOAS churn is legitimate multi-homing.
+//
 // Robustness policies, in the order they act on a day:
 //   admission   per-day full-processing capacity; overflow updates are
 //               processed summary-only (detection still runs, measurement

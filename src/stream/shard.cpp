@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 
+#include "moas/core/moas_list.h"
 #include "moas/util/assert.h"
 
 namespace moas::stream {
@@ -25,11 +26,6 @@ std::uint64_t alarm_bytes(const core::MoasAlarm& a) {
   return 160 + kAsnBytes * static_cast<std::uint64_t>(a.reference_list.size() +
                                                       a.observed_list.size() +
                                                       a.offending_origins.size());
-}
-
-/// observed introduces no origin outside the reference list.
-bool covered_by(const bgp::AsnSet& reference, const bgp::AsnSet& observed) {
-  return std::includes(reference.begin(), reference.end(), observed.begin(), observed.end());
 }
 
 /// Appends ' ' and `value` in decimal (the digits std::to_string writes).
@@ -116,7 +112,7 @@ void DetectorShard::process(const int flush_day, const StreamUpdate& u, const bo
     state_bytes_ += kMapNodeBytes;
   }
 
-  if (!covered_by(st.reference, u.origins)) {
+  if (!core::covers(st.reference, u.origins)) {
     st.observed = u.origins;
     if (st.alarm_id < 0) {
       core::MoasAlarm alarm;
@@ -125,9 +121,7 @@ void DetectorShard::process(const int flush_day, const StreamUpdate& u, const bo
       alarm.prefix = u.prefix;
       alarm.reference_list = st.reference;
       alarm.observed_list = u.origins;
-      for (const bgp::Asn asn : u.origins) {
-        if (!st.reference.contains(asn)) alarm.offending_origins.insert(asn);
-      }
+      alarm.offending_origins = core::difference(u.origins, st.reference);
       alarm.cause = core::MoasAlarm::Cause::ListMismatch;
       const std::size_t id = record(std::move(alarm));
       st.alarm_id = static_cast<std::int64_t>(id);

@@ -52,23 +52,25 @@ TEST(MoasList, AttachReplacesOldListKeepsOtherCommunities) {
 TEST(MoasList, EffectiveListPrefersExplicit) {
   // Footnote 3 in reverse: with an explicit list the path origin is not
   // consulted.
-  const bgp::Route r = route_with({9, 1}, {1, 2});
-  EXPECT_EQ(effective_moas_list(r), (AsnSet{1, 2}));
-  EXPECT_TRUE(has_explicit_moas_list(r));
+  const MoasClaim claim = read_claim(route_with({9, 1}, {1, 2}));
+  EXPECT_EQ(claim.list, (AsnSet{1, 2}));
+  EXPECT_EQ(claim.origins, AsnSet{1});
+  EXPECT_TRUE(claim.explicit_list);
 }
 
 TEST(MoasList, EffectiveListFallsBackToOrigin) {
   // "If a route does not contain a MOAS list, it will be treated as if it
   //  carries a MOAS list containing the origin AS."
-  const bgp::Route r = route_with({9, 1});
-  EXPECT_EQ(effective_moas_list(r), AsnSet{1});
-  EXPECT_FALSE(has_explicit_moas_list(r));
+  const MoasClaim claim = read_claim(route_with({9, 1}));
+  EXPECT_EQ(claim.list, AsnSet{1});
+  EXPECT_FALSE(claim.explicit_list);
+  EXPECT_TRUE(claim.self_consistent());
 }
 
 TEST(MoasList, EffectiveListHandlesAggregateOrigins) {
   bgp::Route r = route_with({9});
   r.attrs.path.append_set({4, 5});
-  EXPECT_EQ(effective_moas_list(r), (AsnSet{4, 5}));
+  EXPECT_EQ(read_claim(r).list, (AsnSet{4, 5}));
 }
 
 TEST(MoasList, ConsistencyIsSetEquality) {
@@ -78,6 +80,22 @@ TEST(MoasList, ConsistencyIsSetEquality) {
   EXPECT_TRUE(lists_consistent({}, {}));
   EXPECT_FALSE(lists_consistent({1, 2}, {1, 2, 3}));
   EXPECT_FALSE(lists_consistent({1}, {2}));
+}
+
+TEST(MoasList, SelfConsistencyNeedsTheOriginInItsOwnList) {
+  EXPECT_TRUE(read_claim(route_with({9, 1}, {1, 2})).self_consistent());
+  EXPECT_FALSE(read_claim(route_with({3}, {1, 2})).self_consistent());
+  bgp::Route aggregate = route_with({9}, {4});
+  aggregate.attrs.path.append_set({4, 5});  // origin 5 missing from the list
+  EXPECT_FALSE(read_claim(aggregate).self_consistent());
+}
+
+TEST(MoasList, CoversAndDifference) {
+  EXPECT_TRUE(covers({1, 2, 3}, {1, 3}));
+  EXPECT_TRUE(covers({1}, {}));
+  EXPECT_FALSE(covers({1, 2}, {2, 9}));
+  EXPECT_EQ(difference({1, 2, 9}, {1, 2}), AsnSet{9});
+  EXPECT_TRUE(difference({1}, {1, 2}).empty());
 }
 
 TEST(MoasList, ListToString) {
@@ -127,13 +145,13 @@ TEST(MoasList, EffectiveListSeesWideMembers) {
   r.prefix = *net::Prefix::parse("135.38.0.0/16");
   r.attrs.path = bgp::AsPath({9, 70'001});
   attach_moas_list(r.attrs, {70'001, 70'002});
-  EXPECT_TRUE(has_explicit_moas_list(r));
-  EXPECT_EQ(effective_moas_list(r), (AsnSet{70'001, 70'002}));
+  EXPECT_TRUE(read_claim(r).explicit_list);
+  EXPECT_EQ(read_claim(r).list, (AsnSet{70'001, 70'002}));
 
   // Mixed widths: narrow members in the classic set, wide in the large set,
   // one effective list.
   attach_moas_list(r.attrs, {4006, 70'001});
-  EXPECT_EQ(effective_moas_list(r), (AsnSet{4006, 70'001}));
+  EXPECT_EQ(read_claim(r).list, (AsnSet{4006, 70'001}));
 }
 
 /// Property sweep: decode(encode(S)) == S for random sets.

@@ -163,6 +163,7 @@ TEST(Ablation, GaoRexfordPolicyStillProtected) {
 TEST(Ablation, MraiDelaysButDoesNotChangeOutcome) {
   ExperimentConfig config;
   config.deployment = Deployment::Full;
+  config.engine = EventRun{.mrai = 0.0};
   Experiment fast(topology(100), config);
   config.engine = EventRun{.mrai = 30.0};
   Experiment paced(topology(100), config);

@@ -110,7 +110,6 @@ TEST(TraceEvent, JsonlWriterEmitsOneLinePerEvent) {
 TEST(TraceEvent, EveryKindHasAStableName) {
   // The kind strings are the JSONL schema — renaming one is a breaking
   // change to every trace consumer, so pin them.
-  EXPECT_STREQ(to_string(EventKind::SessionTransition), "session-transition");
   EXPECT_STREQ(to_string(EventKind::UpdateSent), "update-sent");
   EXPECT_STREQ(to_string(EventKind::UpdateReceived), "update-received");
   EXPECT_STREQ(to_string(EventKind::WithdrawReceived), "withdraw-received");
