@@ -6,6 +6,13 @@
 // fail and recover, sessions reset, routers crash and cold-restart, and a
 // message tap (chaos::ChaosEngine) may drop, duplicate, delay or corrupt
 // every update handed to the transport.
+//
+// An update on the wire is a typed {from, to, receiver, update} record in
+// the network's slab, aimed at the network as an EventSink. Each router's
+// send callback holds its own row of directed links (receiver pointer plus
+// the per-link FIFO clock), so a message costs one binary search over the
+// sender's peers and no lookup keyed by ASN. The fault checks (failed
+// links, crashed routers) are skipped outright while no fault is active.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +25,7 @@
 
 #include "moas/bgp/router.h"
 #include "moas/sim/event_queue.h"
+#include "moas/util/flat_map.h"
 #include "moas/util/rng.h"
 
 namespace moas::obs {
@@ -27,7 +35,7 @@ class TraceBus;
 
 namespace moas::bgp {
 
-class Network {
+class Network final : private sim::EventSink {
  public:
   struct Config {
     PolicyMode mode = PolicyMode::ShortestPath;
@@ -85,11 +93,11 @@ class Network {
   /// the mirrored relationship.
   void connect(Asn a, Asn b, Relationship rel_of_b = Relationship::Peer);
 
-  bool has_router(Asn asn) const { return routers_.contains(asn); }
+  bool has_router(Asn asn) const { return nodes_.contains(asn); }
   Router& router(Asn asn);
   const Router& router(Asn asn) const;
   std::vector<Asn> asns() const;
-  std::size_t size() const { return routers_.size(); }
+  std::size_t size() const { return nodes_.size(); }
 
   /// Every peering as an unordered pair (a < b), sorted — the link list
   /// fault schedules draw from.
@@ -164,17 +172,46 @@ class Network {
   obs::MetricsRegistry collect_metrics() const;
 
  private:
-  void deliver(Asn from, Asn to, Update update);
-  void schedule_delivery(Asn from, Asn to, Update update, double extra_delay,
+  /// One directed link, as its sender sees it.
+  struct Link {
+    Router* receiver = nullptr;
+    /// Last scheduled arrival: BGP speaks over TCP, so updates between two
+    /// peers must stay FIFO even with jittered delays.
+    sim::Time last_arrival = 0.0;
+  };
+  struct Node {
+    std::unique_ptr<Router> router;
+    util::FlatMap<Asn, Link> links;  // keyed by receiver
+  };
+  /// An update on the wire.
+  struct Delivery {
+    Asn from = kNoAs;
+    Asn to = kNoAs;
+    Router* receiver = nullptr;
+    Update update;
+  };
+
+  Node& node(Asn asn);
+  void deliver(Node& sender, Asn to, Update update);
+  void schedule_delivery(Node& sender, Asn to, Update update, double extra_delay,
                          bool allow_reorder);
+  /// EventSink: a delivery arrives.
+  void run_event(std::uint32_t slot) override;
+
+  /// Any link failed or router crashed: only then can a message be lost.
+  bool faults_active() const { return !failed_links_.empty() || !crashed_.empty(); }
+  /// Whether the session between the two routers can carry a message now.
+  bool session_carries(Asn from, Asn to) const;
 
   Config config_;
+  // The queue holds records aimed at this network and its routers; all
+  // three are owned here and share the network's lifetime.
   sim::EventQueue clock_;
   util::Rng rng_;
-  std::map<Asn, std::unique_ptr<Router>> routers_;
-  /// Last scheduled delivery per directed link: BGP speaks over TCP, so
-  /// updates between two peers must stay FIFO even with jittered delays.
-  std::map<std::pair<Asn, Asn>, sim::Time> link_clock_;
+  /// std::map nodes never move: each router's send callback keeps a
+  /// pointer to its own Node.
+  std::map<Asn, Node> nodes_;
+  sim::Slab<Delivery> deliveries_;
   /// Links currently failed (unordered endpoint pair stored as a < b).
   std::set<std::pair<Asn, Asn>> failed_links_;
   /// Bumped every time a link goes down; a scheduled session

@@ -6,11 +6,15 @@
 // routes subject to export policy, optional MRAI pacing, an optional import
 // validator (the MOAS detector), and an optional export filter (used to
 // model compromised routers that suppress valid routes).
+//
+// Per-peer state is flat (sorted vectors): the peer set is fixed once the
+// topology is wired, and the per-(peer, prefix) advertisement and MRAI rows
+// are few per peer. An MRAI flush is a typed {peer, prefix} record in the
+// router's own slab, aimed at the router as an EventSink.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -31,7 +35,7 @@ class TraceBus;
 
 namespace moas::bgp {
 
-class Router final : public RouterContext {
+class Router final : public RouterContext, private sim::EventSink {
  public:
   /// Transport callback: deliver `update` from this router to peer `to`.
   /// Provided by the Network (adds link delay); may be a direct call in
@@ -48,13 +52,17 @@ class Router final : public RouterContext {
   /// `clock` may be null: then MRAI pacing is unavailable and
   /// current_time() reports 0.
   Router(Asn asn, PolicyMode mode, SendFn send, sim::EventQueue* clock);
+  // Queued events (MRAI flushes, timers) hold this address.
+  Router(const Router&) = delete;
+  Router& operator=(const Router&) = delete;
 
   Asn asn() const { return asn_; }
   PolicyMode policy_mode() const { return mode_; }
 
   // --- configuration -------------------------------------------------------
 
-  /// Register a peer with its relationship as seen from this AS.
+  /// Register a peer with its relationship as seen from this AS. Peers are
+  /// wired before the simulation runs; the peer set does not change after.
   void add_peer(Asn peer, Relationship rel);
   bool has_peer(Asn peer) const { return peers_.contains(peer); }
   std::vector<Asn> peers() const;
@@ -120,6 +128,9 @@ class Router final : public RouterContext {
 
   /// Entry point for updates arriving from a peer.
   void handle_update(Asn from, const Update& update);
+  /// Move-through variant for the transport, which owns the delivered
+  /// update: the announced route moves into the Adj-RIB-In.
+  void handle_update(Asn from, Update&& update);
 
   /// Import half of handle_update: runs loop detection, import policy,
   /// validation and the Adj-RIB-In write, but NOT the decision process.
@@ -241,6 +252,12 @@ class Router final : public RouterContext {
     std::uint64_t eor_received = 0;
     std::uint64_t stale_retained = 0;  // entries marked stale at peer restarts
     std::uint64_t stale_swept = 0;     // flushed by End-of-RIB or the timer
+
+    Stats& operator+=(const Stats& other);
+
+    /// Write every counter into `registry` under "router.*" names. An
+    /// engine sums its routers' Stats first and writes the total once.
+    void collect_metrics(obs::MetricsRegistry& registry) const;
   };
   const Stats& stats() const { return stats_; }
 
@@ -248,11 +265,6 @@ class Router final : public RouterContext {
   /// must outlive the router; emission is gated by obs::trace_wants so a
   /// null/Off bus costs one branch per site.
   void set_trace(obs::TraceBus* bus) { trace_ = bus; }
-
-  /// Snapshot every Stats counter into `registry` under "router.*" names.
-  /// Counters sum on registry merge, so calling this for each router of a
-  /// network yields the network-wide aggregate.
-  void collect_metrics(obs::MetricsRegistry& registry) const;
 
   // --- RouterContext (for validators) ---------------------------------------
   Asn self() const override { return asn_; }
@@ -272,12 +284,16 @@ class Router final : public RouterContext {
     /// is the largest per-peer structure, and the routes inside it share
     /// their attribute payloads through the interner anyway.
     util::FlatMap<net::Prefix, Route> advertised;
-    /// MRAI state per prefix.
-    std::map<net::Prefix, sim::Time> next_allowed;
-    std::map<net::Prefix, std::optional<Update>> pending;
+    /// MRAI state per prefix: a row exists once the prefix was transmitted.
+    struct Mrai {
+      sim::Time next_allowed = 0.0;
+      /// Held update; engaged iff a flush is scheduled for next_allowed.
+      std::optional<Update> pending;
+    };
+    util::FlatMap<net::Prefix, Mrai> mrai;
     /// Prefixes whose last announcement from this peer was revoked by RFC
     /// 7606 treat-as-withdraw (cleared by any fresh update for the prefix).
-    std::set<net::Prefix> error_withdrawn;
+    util::FlatSet<net::Prefix> error_withdrawn;
     /// Bumped on every restart window (and on cold session loss) so a
     /// pending stale-route timer from a superseded window no-ops.
     std::uint64_t gr_generation = 0;
@@ -295,6 +311,8 @@ class Router final : public RouterContext {
   /// MRAI-paced transmission of a concrete update.
   void transmit(Asn peer, PeerState& state, Update update);
   void flush_pending(Asn peer, const net::Prefix& prefix);
+  /// EventSink: a scheduled MRAI flush fires.
+  void run_event(std::uint32_t slot) override;
 
   /// Build the update we owe `peer` for `prefix` right now (announce, or
   /// withdraw if nothing is exportable), without MRAI or dedup applied.
@@ -321,10 +339,17 @@ class Router final : public RouterContext {
   SendFn send_;
   sim::EventQueue* clock_;
 
-  std::map<Asn, PeerState> peers_;
+  util::FlatMap<Asn, PeerState> peers_;
   AdjRibIn adj_in_;
   LocRib loc_rib_;
-  std::map<net::Prefix, Route> local_;  // locally originated
+  util::FlatMap<net::Prefix, Route> local_;  // locally originated
+
+  /// A scheduled MRAI flush of (peer, prefix).
+  struct Flush {
+    Asn peer = kNoAs;
+    net::Prefix prefix;
+  };
+  sim::Slab<Flush> flushes_;
 
   std::shared_ptr<ImportValidator> validator_;
   ExportFilter export_filter_;

@@ -20,66 +20,77 @@ Network::Network(Config config) : config_(config), rng_(config.seed) {
 }
 
 Router& Network::add_router(Asn asn) {
-  MOAS_REQUIRE(!routers_.contains(asn), "router already exists");
-  auto router = std::make_unique<Router>(
+  auto [it, inserted] = nodes_.try_emplace(asn);
+  MOAS_REQUIRE(inserted, "router already exists");
+  Node* sender = &it->second;
+  sender->router = std::make_unique<Router>(
       asn, config_.mode,
-      [this](Asn from, Asn to, Update update) { deliver(from, to, std::move(update)); },
+      [this, sender](Asn, Asn to, Update update) { deliver(*sender, to, std::move(update)); },
       &clock_);
-  Router& ref = *router;
+  Router& ref = *sender->router;
   if (config_.graceful_restart) ref.set_graceful_restart(config_.gr_restart_time);
   ref.set_trace(trace_);
-  routers_.emplace(asn, std::move(router));
   return ref;
 }
 
 void Network::set_trace(obs::TraceBus* bus) {
   trace_ = bus;
-  for (auto& [_, router] : routers_) router->set_trace(bus);
+  for (auto& [_, node] : nodes_) node.router->set_trace(bus);
 }
 
 obs::MetricsRegistry Network::collect_metrics() const {
   obs::MetricsRegistry registry;
-  for (const auto& [_, router] : routers_) router->collect_metrics(registry);
+  if (!nodes_.empty()) {
+    Router::Stats total;
+    for (const auto& [_, node] : nodes_) total += node.router->stats();
+    total.collect_metrics(registry);
+  }
   registry.count("network.messages_sent", messages_sent_);
   registry.count("network.messages_dropped", messages_dropped_);
-  registry.set_gauge("network.routers", static_cast<double>(routers_.size()));
+  registry.set_gauge("network.routers", static_cast<double>(nodes_.size()));
   registry.set_gauge("network.links", static_cast<double>(links().size()));
   registry.count("sim.events_executed", clock_.executed());
   return registry;
 }
 
 void Network::connect(Asn a, Asn b, Relationship rel_of_b) {
-  router(a).add_peer(b, rel_of_b);
-  router(b).add_peer(a, reverse(rel_of_b));
+  Node& node_a = node(a);
+  Node& node_b = node(b);
+  node_a.router->add_peer(b, rel_of_b);
+  node_b.router->add_peer(a, reverse(rel_of_b));
+  node_a.links[b].receiver = node_b.router.get();
+  node_b.links[a].receiver = node_a.router.get();
 }
 
-Router& Network::router(Asn asn) {
-  auto it = routers_.find(asn);
-  MOAS_REQUIRE(it != routers_.end(), "unknown router " + std::to_string(asn));
-  return *it->second;
+Network::Node& Network::node(Asn asn) {
+  auto it = nodes_.find(asn);
+  MOAS_REQUIRE(it != nodes_.end(), "unknown router " + std::to_string(asn));
+  return it->second;
 }
+
+Router& Network::router(Asn asn) { return *node(asn).router; }
 
 const Router& Network::router(Asn asn) const {
-  auto it = routers_.find(asn);
-  MOAS_REQUIRE(it != routers_.end(), "unknown router " + std::to_string(asn));
-  return *it->second;
+  auto it = nodes_.find(asn);
+  MOAS_REQUIRE(it != nodes_.end(), "unknown router " + std::to_string(asn));
+  return *it->second.router;
 }
 
 std::vector<Asn> Network::asns() const {
   std::vector<Asn> out;
-  out.reserve(routers_.size());
-  for (const auto& [asn, _] : routers_) out.push_back(asn);
+  out.reserve(nodes_.size());
+  for (const auto& [asn, _] : nodes_) out.push_back(asn);
   return out;
 }
 
 std::vector<std::pair<Asn, Asn>> Network::links() const {
   std::vector<std::pair<Asn, Asn>> out;
-  for (const auto& [asn, router] : routers_) {
-    for (Asn peer : router->peers()) {
+  for (const auto& [asn, node] : nodes_) {
+    for (const auto& [peer, _] : node.links) {
       if (asn < peer) out.emplace_back(asn, peer);
     }
   }
-  // routers_ iterates in ASN order and peers() is sorted, so this is already
+  // nodes_ and each link row iterate in ASN order, so this is already
   // sorted — keep the guarantee explicit for schedule determinism.
   std::sort(out.begin(), out.end());
   return out;
@@ -179,8 +190,13 @@ void Network::sever_link_silently(Asn a, Asn b) {
   ++link_down_epoch_[key];
 }
 
-void Network::deliver(Asn from, Asn to, Update update) {
-  if (!link_up(from, to) || crashed_.contains(from) || crashed_.contains(to)) {
+bool Network::session_carries(Asn from, Asn to) const {
+  return link_up(from, to) && !crashed_.contains(from) && !crashed_.contains(to);
+}
+
+void Network::deliver(Node& sender, Asn to, Update update) {
+  const Asn from = sender.router->asn();
+  if (faults_active() && !session_carries(from, to)) {
     ++messages_dropped_;
     return;
   }
@@ -198,51 +214,53 @@ void Network::deliver(Asn from, Asn to, Update update) {
         return;
       case TapVerdict::Action::Deliver:
         if (!verdict.deliveries.empty()) {
-          for (const Update& replacement : verdict.deliveries) {
-            schedule_delivery(from, to, replacement, verdict.extra_delay,
+          for (Update& replacement : verdict.deliveries) {
+            schedule_delivery(sender, to, std::move(replacement), verdict.extra_delay,
                               verdict.allow_reorder);
           }
           return;
         }
-        schedule_delivery(from, to, std::move(update), verdict.extra_delay,
+        schedule_delivery(sender, to, std::move(update), verdict.extra_delay,
                           verdict.allow_reorder);
         return;
     }
   }
-  schedule_delivery(from, to, std::move(update), 0.0, false);
+  schedule_delivery(sender, to, std::move(update), 0.0, false);
 }
 
-void Network::schedule_delivery(Asn from, Asn to, Update update, double extra_delay,
+void Network::schedule_delivery(Node& sender, Asn to, Update update, double extra_delay,
                                 bool allow_reorder) {
   const double delay = config_.link_delay + extra_delay +
                        (config_.jitter > 0.0 ? rng_.uniform01() * config_.jitter : 0.0);
+  auto link = sender.links.find(to);
+  MOAS_ENSURE(link != sender.links.end(), "message addressed to a non-peer");
   // FIFO per directed link: a BGP session is a TCP stream, so a later
   // update must never overtake an earlier one (an overtaken stale
   // announcement would act as a bogus implicit withdraw at the receiver).
   // The reorder fault deliberately breaks this by bypassing the clamp.
   sim::Time at = clock_.now() + delay;
-  auto& last = link_clock_[{from, to}];
+  sim::Time& last = link->second.last_arrival;
   if (!allow_reorder) {
     if (at <= last) at = last + 1e-9;
     last = at;
   } else if (at > last) {
     last = at;
   }
-  // Move the update into the event: the sender may mutate its state freely
-  // while the message is "on the wire" (we own this copy since deliver()).
-  clock_.schedule_at(at, [this, from, to, update = std::move(update)] {
-    if (!link_up(from, to)) {  // the link failed while the message was in flight
-      ++messages_dropped_;
-      return;
-    }
-    if (crashed_.contains(from) || crashed_.contains(to)) {
-      ++messages_dropped_;
-      return;
-    }
-    auto it = routers_.find(to);
-    MOAS_ENSURE(it != routers_.end(), "message addressed to unknown router");
-    it->second->handle_update(from, update);
-  });
+  // Move the update into the record: the sender may mutate its state freely
+  // while the message is "on the wire".
+  const std::uint32_t slot = deliveries_.put(
+      Delivery{sender.router->asn(), to, link->second.receiver, std::move(update)});
+  clock_.schedule_at(at, *this, slot);
+}
+
+void Network::run_event(std::uint32_t slot) {
+  Delivery delivery = deliveries_.take(slot);
+  // The link failed, or an endpoint crashed, while the message was in flight.
+  if (faults_active() && !session_carries(delivery.from, delivery.to)) {
+    ++messages_dropped_;
+    return;
+  }
+  delivery.receiver->handle_update(delivery.from, std::move(delivery.update));
 }
 
 }  // namespace moas::bgp

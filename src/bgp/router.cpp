@@ -83,6 +83,11 @@ void Router::handle_update(Asn from, const Update& update) {
   if (import_update(from, update)) decide(update.prefix);
 }
 
+void Router::handle_update(Asn from, Update&& update) {
+  const net::Prefix prefix = update.prefix;
+  if (import_update(from, std::move(update))) decide(prefix);
+}
+
 bool Router::import_update(Asn from, const Update& update) {
   return import_update(from, Update(update));
 }
@@ -180,8 +185,7 @@ void Router::peer_down(Asn peer) {
   ++it->second.gr_generation;  // a cold loss supersedes any restart window
   if (damper_) damper_->clear_peer(peer);
   it->second.advertised.clear();
-  it->second.pending.clear();
-  it->second.next_allowed.clear();
+  it->second.mrai.clear();
   it->second.error_withdrawn.clear();  // the flush removes what it tracked
   validator_->on_peer_down(peer, *this);
   abandon_deferred_peer(peer);
@@ -209,8 +213,7 @@ void Router::peer_restarting(Asn peer) {
   // (reference-list support) persists through the restart, which is the
   // point of modeling RFC 4724.
   it->second.advertised.clear();
-  it->second.pending.clear();
-  it->second.next_allowed.clear();
+  it->second.mrai.clear();
   stats_.stale_retained += adj_in_.mark_peer_stale(peer);
   abandon_deferred_peer(peer);
   const std::uint64_t gen = ++it->second.gr_generation;
@@ -348,8 +351,7 @@ void Router::crash() {
   for (auto& [peer, state] : peers_) {
     state.session_up = false;
     state.advertised.clear();
-    state.pending.clear();
-    state.next_allowed.clear();
+    state.mrai.clear();
     state.error_withdrawn.clear();
     ++state.gr_generation;  // crashing forgets any helper-side restart window
     if (damper_) damper_->clear_peer(peer);
@@ -521,8 +523,9 @@ std::optional<Update> Router::build_export(const PeerState& state,
 
   const bool locally_originated = entry->learned_from == asn_;
   if (!locally_originated) {
-    const Relationship learned_rel = peers_.at(entry->learned_from).rel;
-    if (!export_allowed(mode_, learned_rel, state.rel)) return std::nullopt;
+    auto learned = peers_.find(entry->learned_from);
+    MOAS_ENSURE(learned != peers_.end(), "best route learned from an unknown peer");
+    if (!export_allowed(mode_, learned->second.rel, state.rel)) return std::nullopt;
   }
 
   Route out = entry->route;
@@ -577,19 +580,19 @@ void Router::send_to_peer(Asn peer, PeerState& state, const net::Prefix& prefix)
 void Router::transmit(Asn peer, PeerState& state, Update update) {
   const net::Prefix prefix = update.prefix;
   if (mrai_ > 0.0 && clock_) {
-    auto it = state.next_allowed.find(prefix);
+    // A fresh row has next_allowed 0 and the clock never runs negative, so
+    // the first transmission of a prefix always goes out.
+    PeerState::Mrai& row = state.mrai[prefix];
     const sim::Time now = clock_->now();
-    if (it != state.next_allowed.end() && now < it->second) {
-      auto& slot = state.pending[prefix];
-      const bool flush_already_scheduled = slot.has_value();
-      slot = std::move(update);  // newest update supersedes queued one
+    if (now < row.next_allowed) {
+      const bool flush_already_scheduled = row.pending.has_value();
+      row.pending = std::move(update);  // newest update supersedes queued one
       if (!flush_already_scheduled) {
-        const sim::Time at = it->second;
-        clock_->schedule_at(at, [this, peer, prefix] { flush_pending(peer, prefix); });
+        clock_->schedule_at(row.next_allowed, *this, flushes_.put(Flush{peer, prefix}));
       }
       return;
     }
-    state.next_allowed[prefix] = now + mrai_;
+    row.next_allowed = now + mrai_;
   }
 
   ++stats_.updates_sent;
@@ -607,32 +610,58 @@ void Router::transmit(Asn peer, PeerState& state, Update update) {
   send_(asn_, peer, std::move(update));
 }
 
-void Router::collect_metrics(obs::MetricsRegistry& registry) const {
-  registry.count("router.updates_received", stats_.updates_received);
-  registry.count("router.updates_sent", stats_.updates_sent);
-  registry.count("router.announcements_sent", stats_.announcements_sent);
-  registry.count("router.withdrawals_sent", stats_.withdrawals_sent);
-  registry.count("router.announcements_rejected", stats_.announcements_rejected);
-  registry.count("router.error_withdraws", stats_.error_withdraws);
-  registry.count("router.route_refreshes", stats_.route_refreshes);
-  registry.count("router.routes_withdrawn", stats_.routes_withdrawn);
-  registry.count("router.loops_detected", stats_.loops_detected);
-  registry.count("router.decisions", stats_.decisions);
-  registry.count("router.best_changes", stats_.best_changes);
-  registry.count("router.candidates_damped", stats_.candidates_damped);
-  registry.count("router.eor_sent", stats_.eor_sent);
-  registry.count("router.eor_received", stats_.eor_received);
-  registry.count("router.stale_retained", stats_.stale_retained);
-  registry.count("router.stale_swept", stats_.stale_swept);
+Router::Stats& Router::Stats::operator+=(const Stats& other) {
+  updates_received += other.updates_received;
+  updates_sent += other.updates_sent;
+  announcements_sent += other.announcements_sent;
+  withdrawals_sent += other.withdrawals_sent;
+  announcements_rejected += other.announcements_rejected;
+  error_withdraws += other.error_withdraws;
+  route_refreshes += other.route_refreshes;
+  routes_withdrawn += other.routes_withdrawn;
+  loops_detected += other.loops_detected;
+  decisions += other.decisions;
+  best_changes += other.best_changes;
+  candidates_damped += other.candidates_damped;
+  eor_sent += other.eor_sent;
+  eor_received += other.eor_received;
+  stale_retained += other.stale_retained;
+  stale_swept += other.stale_swept;
+  return *this;
+}
+
+void Router::Stats::collect_metrics(obs::MetricsRegistry& registry) const {
+  registry.count("router.updates_received", updates_received);
+  registry.count("router.updates_sent", updates_sent);
+  registry.count("router.announcements_sent", announcements_sent);
+  registry.count("router.withdrawals_sent", withdrawals_sent);
+  registry.count("router.announcements_rejected", announcements_rejected);
+  registry.count("router.error_withdraws", error_withdraws);
+  registry.count("router.route_refreshes", route_refreshes);
+  registry.count("router.routes_withdrawn", routes_withdrawn);
+  registry.count("router.loops_detected", loops_detected);
+  registry.count("router.decisions", decisions);
+  registry.count("router.best_changes", best_changes);
+  registry.count("router.candidates_damped", candidates_damped);
+  registry.count("router.eor_sent", eor_sent);
+  registry.count("router.eor_received", eor_received);
+  registry.count("router.stale_retained", stale_retained);
+  registry.count("router.stale_swept", stale_swept);
+}
+
+void Router::run_event(std::uint32_t slot) {
+  const Flush flush = flushes_.take(slot);
+  flush_pending(flush.peer, flush.prefix);
 }
 
 void Router::flush_pending(Asn peer, const net::Prefix& prefix) {
   auto pit = peers_.find(peer);
   if (pit == peers_.end()) return;
-  auto& slot = pit->second.pending[prefix];
-  if (!slot) return;
-  Update update = std::move(*slot);
-  slot.reset();
+  auto row = pit->second.mrai.find(prefix);
+  // Session loss clears the rows; the flush scheduled before it finds none.
+  if (row == pit->second.mrai.end() || !row->second.pending) return;
+  Update update = std::move(*row->second.pending);
+  row->second.pending.reset();
   transmit(peer, pit->second, std::move(update));
 }
 

@@ -1,54 +1,49 @@
 #include "moas/sim/event_queue.h"
 
+#include <algorithm>
+
 #include "moas/util/assert.h"
 
 namespace moas::sim {
 
-EventId EventQueue::schedule_at(Time t, std::function<void()> fn) {
+void EventQueue::push(Time t, EventSink* sink, std::uint32_t slot) {
+  heap_.push_back(Entry{t, next_id_++, sink, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void EventQueue::schedule_at(Time t, std::function<void()> fn) {
   MOAS_REQUIRE(t >= now_, "cannot schedule into the past");
   MOAS_REQUIRE(static_cast<bool>(fn), "event callback must be callable");
-  const EventId id = next_id_++;
-  heap_.push(Entry{t, id, std::move(fn)});
-  pending_ids_.insert(id);
-  return id;
+  push(t, nullptr, closures_.put(std::move(fn)));
 }
 
-EventId EventQueue::schedule_after(Time delay, std::function<void()> fn) {
+void EventQueue::schedule_after(Time delay, std::function<void()> fn) {
   MOAS_REQUIRE(delay >= 0.0, "delay must be non-negative");
-  return schedule_at(now_ + delay, std::move(fn));
+  schedule_at(now_ + delay, std::move(fn));
 }
 
-bool EventQueue::cancel(EventId id) {
-  if (pending_ids_.erase(id) == 0) return false;
-  cancelled_.insert(id);  // lazily dropped when it reaches the heap top
-  return true;
+void EventQueue::schedule_at(Time t, EventSink& sink, std::uint32_t slot) {
+  MOAS_REQUIRE(t >= now_, "cannot schedule into the past");
+  push(t, &sink, slot);
 }
 
-bool EventQueue::pop_live(Entry& out) {
-  while (!heap_.empty()) {
-    // priority_queue::top() is const&; the entry is logically owned by us,
-    // so move the callback out before popping.
-    Entry& top = const_cast<Entry&>(heap_.top());
-    if (cancelled_.erase(top.id) > 0) {
-      heap_.pop();
-      continue;
-    }
-    out.at = top.at;
-    out.id = top.id;
-    out.fn = std::move(top.fn);
-    heap_.pop();
-    pending_ids_.erase(out.id);
-    return true;
+void EventQueue::run_top() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Entry top = heap_.back();
+  heap_.pop_back();
+  now_ = top.at;
+  ++executed_;
+  if (top.sink != nullptr) {
+    top.sink->run_event(top.slot);
+  } else {
+    // Taken out of the slab first: the closure may schedule more closures.
+    closures_.take(top.slot)();
   }
-  return false;
 }
 
 bool EventQueue::step() {
-  Entry e;
-  if (!pop_live(e)) return false;
-  now_ = e.at;
-  ++executed_;
-  e.fn();
+  if (heap_.empty()) return false;
+  run_top();
   return true;
 }
 
@@ -61,18 +56,9 @@ std::size_t EventQueue::run(std::size_t max_events) {
 std::size_t EventQueue::run_until(Time until) {
   MOAS_REQUIRE(until >= now_, "cannot run backwards");
   std::size_t n = 0;
-  Entry e;
-  while (pop_live(e)) {
-    if (e.at > until) {
-      // Too early to run: requeue unchanged (same id keeps FIFO order).
-      pending_ids_.insert(e.id);
-      heap_.push(std::move(e));
-      break;
-    }
-    now_ = e.at;
-    ++executed_;
+  while (!heap_.empty() && heap_.front().at <= until) {
+    run_top();
     ++n;
-    e.fn();
   }
   if (now_ < until) now_ = until;
   return n;

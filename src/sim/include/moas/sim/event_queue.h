@@ -1,17 +1,27 @@
 // Discrete-event simulation engine.
 //
-// A single-threaded event queue with a virtual clock. Events scheduled for
-// the same instant run in scheduling order (stable), which makes simulations
-// deterministic for a fixed seed. Events may schedule and cancel further
-// events while running.
+// A single-threaded event queue with a virtual clock. Events pop in
+// (time, schedule order): events scheduled for the same instant run in the
+// order they were scheduled, which makes simulations deterministic for a
+// fixed seed. Events may schedule further events while running.
+//
+// Two kinds of event share the one ordering:
+//   - typed events name an EventSink and a slot; the sink owns a slab of
+//     plain records (a BGP delivery, an MRAI flush) and runs the record in
+//     that slot. This is the hot path: a heap sift and nothing else.
+//   - closures (std::function) for the rare events (timers, fault
+//     injection, origination). They live in a reused slab inside the queue.
+//
+// There is no cancellation. An event that may have been superseded checks a
+// generation or epoch counter when it runs and returns if it is stale.
+// A sink must outlive every queued record aimed at it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <queue>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace moas::sim {
@@ -19,8 +29,49 @@ namespace moas::sim {
 /// Virtual time in seconds.
 using Time = double;
 
-/// Handle for cancelling a scheduled event.
-using EventId = std::uint64_t;
+/// Receiver of typed events. `slot` is whatever the sink passed to
+/// EventQueue::schedule_at — typically the index of a record in its Slab.
+class EventSink {
+ public:
+  virtual void run_event(std::uint32_t slot) = 0;
+
+ protected:
+  ~EventSink() = default;
+};
+
+/// Free-listed record storage for an EventSink: put() returns a slot that
+/// stays valid until take() moves the record out and frees the slot for
+/// reuse. Capacity only grows to the peak number of records held at once.
+template <typename T>
+class Slab {
+ public:
+  std::uint32_t put(T record) {
+    if (free_.empty()) {
+      records_.push_back(std::move(record));
+      return static_cast<std::uint32_t>(records_.size() - 1);
+    }
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    records_[slot] = std::move(record);
+    return slot;
+  }
+
+  /// Moves the record out before freeing the slot, so the caller may put()
+  /// again (and grow the slab) while it still uses the record.
+  T take(std::uint32_t slot) {
+    T record = std::move(records_[slot]);
+    records_[slot] = T{};
+    free_.push_back(slot);
+    return record;
+  }
+
+  /// Records ever held at once (occupied plus free slots).
+  std::size_t capacity() const { return records_.size(); }
+
+ private:
+  std::vector<T> records_;
+  std::vector<std::uint32_t> free_;
+};
 
 class EventQueue {
  public:
@@ -28,14 +79,14 @@ class EventQueue {
   Time now() const { return now_; }
 
   /// Schedule `fn` at absolute time `t` (must be >= now()).
-  EventId schedule_at(Time t, std::function<void()> fn);
+  void schedule_at(Time t, std::function<void()> fn);
 
   /// Schedule `fn` at now() + delay (delay must be >= 0).
-  EventId schedule_after(Time delay, std::function<void()> fn);
+  void schedule_after(Time delay, std::function<void()> fn);
 
-  /// Cancel a pending event. Returns false if it already ran, was already
-  /// cancelled, or never existed.
-  bool cancel(EventId id);
+  /// Schedule a typed event: at `t` (must be >= now()), call
+  /// `sink.run_event(slot)`.
+  void schedule_at(Time t, EventSink& sink, std::uint32_t slot);
 
   /// Run the earliest pending event. Returns false if the queue is empty.
   bool step();
@@ -49,33 +100,37 @@ class EventQueue {
   /// queued and now() advances to `until`.
   std::size_t run_until(Time until);
 
-  bool empty() const { return pending_ids_.empty(); }
-  std::size_t pending() const { return pending_ids_.size(); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t pending() const { return heap_.size(); }
 
   /// Total number of events executed over the queue's lifetime.
   std::uint64_t executed() const { return executed_; }
 
+  /// Closure slots ever held at once (see Slab::capacity).
+  std::size_t closure_capacity() const { return closures_.capacity(); }
+
  private:
   struct Entry {
     Time at;
-    EventId id;
-    std::function<void()> fn;
+    std::uint64_t id;  // schedule order: FIFO among same-time events
+    EventSink* sink;   // nullptr: `slot` indexes closures_
+    std::uint32_t slot;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;  // FIFO among same-time events
+      return a.id > b.id;
     }
   };
 
-  /// Pops the earliest non-cancelled entry; false if none.
-  bool pop_live(Entry& out);
+  void push(Time t, EventSink* sink, std::uint32_t slot);
+  /// Pops the heap top, advances the clock to it and runs it.
+  void run_top();
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_set<EventId> pending_ids_;  // scheduled, not cancelled, not run
-  std::unordered_set<EventId> cancelled_;    // cancelled but still in heap_
+  std::vector<Entry> heap_;  // binary min-heap on (at, id)
+  Slab<std::function<void()>> closures_;
   Time now_ = 0.0;
-  EventId next_id_ = 1;
+  std::uint64_t next_id_ = 1;
   std::uint64_t executed_ = 0;
 };
 

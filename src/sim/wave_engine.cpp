@@ -169,7 +169,11 @@ void WaveEngine::propagate() {
 }
 
 void WaveEngine::collect_metrics(obs::MetricsRegistry& registry) const {
-  for (const Node& node : nodes_) node.router->collect_metrics(registry);
+  if (!nodes_.empty()) {
+    bgp::Router::Stats total;
+    for (const Node& node : nodes_) total += node.router->stats();
+    total.collect_metrics(registry);
+  }
   registry.count("network.messages_sent", deliveries_);
   registry.count("network.messages_dropped", 0);
   registry.set_gauge("network.routers", static_cast<double>(nodes_.size()));

@@ -1,5 +1,6 @@
 #include "moas/topo/gen_internet.h"
 
+#include <utility>
 #include <vector>
 
 #include "moas/util/assert.h"
@@ -33,28 +34,29 @@ namespace detail {
 
 Asn pick_weighted_provider(const AsGraph& g, const std::vector<Asn>& pool, double roll01,
                            const AsnSet& exclude) {
+  // Each eligible candidate's weight is computed once (one degree lookup)
+  // and the scan below subtracts the same doubles in the same order the
+  // total summed them, so the draw is bit-identical to a two-pass scan.
+  thread_local std::vector<std::pair<Asn, double>> eligible;  // reused buffer
+  eligible.clear();
   double total = 0.0;
   for (Asn asn : pool) {
     if (exclude.contains(asn)) continue;
-    total += static_cast<double>(g.degree(asn)) + 1.0;
+    const double weight = static_cast<double>(g.degree(asn)) + 1.0;
+    eligible.emplace_back(asn, weight);
+    total += weight;
   }
   MOAS_ENSURE(total > 0.0, "provider pool exhausted");
   double target = roll01 * total;
-  // One pass over the cumulative weights. The scan itself remembers the
-  // last eligible candidate it visited: when floating-point slack leaves
-  // target marginally positive after the final subtraction (roll01 at or
-  // rounding to 1), the leftover sliver belongs to that candidate — the one
-  // whose weight interval ends at `total`. The old fallback re-scanned the
-  // pool from the back instead of resolving within the weighted scan.
-  Asn last_visited = bgp::kNoAs;
-  for (Asn asn : pool) {
-    if (exclude.contains(asn)) continue;
-    target -= static_cast<double>(g.degree(asn)) + 1.0;
+  // When floating-point slack leaves target marginally positive after the
+  // final subtraction (roll01 at or rounding to 1), the leftover sliver
+  // belongs to the last eligible candidate — the one whose weight interval
+  // ends at `total`.
+  for (const auto& [asn, weight] : eligible) {
+    target -= weight;
     if (target <= 0.0) return asn;
-    last_visited = asn;
   }
-  MOAS_ENSURE(last_visited != bgp::kNoAs, "unreachable");
-  return last_visited;
+  return eligible.back().first;
 }
 
 }  // namespace detail

@@ -166,6 +166,47 @@ TEST(Network, QuiescenceCapDetected) {
   EXPECT_FALSE(network.run_to_quiescence(100));
 }
 
+/// Two routers, 1 and 2, on a one-second link with no jitter: whatever 1
+/// sends at t=0 is in flight until t=1.
+Network slow_pair() {
+  Network::Config config;
+  config.link_delay = 1.0;
+  config.jitter = 0.0;
+  return Network(config);
+}
+
+TEST(Network, UpdateInFlightWhenItsLinkFailsIsDropped) {
+  Network network = slow_pair();
+  network.add_router(1);
+  network.add_router(2);
+  network.connect(1, 2);
+  network.router(1).originate(pfx("10.0.0.0/8"));
+  ASSERT_EQ(network.clock().pending(), 1u);  // the announcement, on the wire
+  network.set_link_up(1, 2, false);
+  EXPECT_TRUE(network.run_to_quiescence());
+  EXPECT_EQ(network.messages_sent(), 1u);
+  EXPECT_EQ(network.messages_dropped(), 1u);
+  EXPECT_EQ(network.router(2).stats().updates_received, 0u);
+  EXPECT_EQ(network.router(2).best(pfx("10.0.0.0/8")), nullptr);
+}
+
+TEST(Network, UpdateInFlightWhenItsReceiverCrashesIsDropped) {
+  // Router 3 hangs off 1 on a healthy session: while the crash is active,
+  // only the message aimed at the crashed router may be lost.
+  Network network = slow_pair();
+  for (Asn asn : {1u, 2u, 3u}) network.add_router(asn);
+  network.connect(1, 2);
+  network.connect(1, 3);
+  network.router(1).originate(pfx("10.0.0.0/8"));
+  ASSERT_EQ(network.clock().pending(), 2u);
+  network.crash_router(2);
+  EXPECT_TRUE(network.run_to_quiescence());
+  EXPECT_EQ(network.messages_dropped(), 1u);
+  EXPECT_EQ(network.router(2).stats().updates_received, 0u);
+  EXPECT_EQ(network.router(2).best(pfx("10.0.0.0/8")), nullptr);
+  EXPECT_EQ(network.router(3).best_origin(pfx("10.0.0.0/8")), std::optional<Asn>(1u));
+}
+
 TEST(Network, RejectsBadConfig) {
   Network::Config config;
   config.link_delay = -1.0;

@@ -2,10 +2,40 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace moas::sim {
 namespace {
+
+/// Typed-event receiver whose records are labels: running one appends its
+/// label to `order`. While fewer than `reschedule_until` records have been
+/// scheduled in all, each run schedules a fresh one a second later.
+class LabelSink final : public EventSink {
+ public:
+  LabelSink(EventQueue& queue, std::vector<int>& order) : queue_(queue), order_(order) {}
+
+  void schedule(Time at, int label) {
+    ++scheduled_;
+    queue_.schedule_at(at, *this, labels_.put(label));
+  }
+  void reschedule_until(std::size_t total) { reschedule_until_ = total; }
+  std::size_t capacity() const { return labels_.capacity(); }
+
+  void run_event(std::uint32_t slot) override {
+    const int label = labels_.take(slot);
+    order_.push_back(label);
+    if (scheduled_ < reschedule_until_) schedule(queue_.now() + 1.0, label);
+  }
+
+ private:
+  EventQueue& queue_;
+  std::vector<int>& order_;
+  Slab<int> labels_;
+  std::size_t scheduled_ = 0;
+  std::size_t reschedule_until_ = 0;
+};
 
 TEST(EventQueue, RunsInTimeOrder) {
   EventQueue queue;
@@ -51,45 +81,61 @@ TEST(EventQueue, RejectsEmptyCallback) {
   EXPECT_THROW(queue.schedule_at(1.0, std::function<void()>()), std::invalid_argument);
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
+TEST(EventQueue, TypedAndClosureEventsShareScheduleOrder) {
   EventQueue queue;
-  bool ran = false;
-  const EventId id = queue.schedule_at(1.0, [&] { ran = true; });
-  EXPECT_TRUE(queue.cancel(id));
-  queue.run();
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(queue.executed(), 0u);
+  std::vector<int> order;
+  LabelSink sink(queue, order);
+  sink.schedule(1.0, 0);
+  queue.schedule_at(1.0, [&] { order.push_back(1); });
+  sink.schedule(1.0, 2);
+  queue.schedule_at(1.0, [&] { order.push_back(3); });
+  sink.schedule(1.0, 4);
+  sink.schedule(0.5, -1);  // scheduled last, but earlier in time
+  EXPECT_EQ(queue.pending(), 6u);
+  EXPECT_EQ(queue.run(), 6u);
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4}));
+  EXPECT_TRUE(queue.empty());
 }
 
-TEST(EventQueue, CancelTwiceFails) {
+TEST(EventQueue, RunUntilLeavesLaterTypedRecordQueued) {
   EventQueue queue;
-  const EventId id = queue.schedule_at(1.0, [] {});
-  EXPECT_TRUE(queue.cancel(id));
-  EXPECT_FALSE(queue.cancel(id));
-}
-
-TEST(EventQueue, CancelAfterRunFails) {
-  EventQueue queue;
-  const EventId id = queue.schedule_at(1.0, [] {});
-  queue.run();
-  EXPECT_FALSE(queue.cancel(id));
-}
-
-TEST(EventQueue, CancelUnknownFails) {
-  EventQueue queue;
-  EXPECT_FALSE(queue.cancel(0));
-  EXPECT_FALSE(queue.cancel(12345));
-}
-
-TEST(EventQueue, PendingCountTracksCancellation) {
-  EventQueue queue;
-  const EventId a = queue.schedule_at(1.0, [] {});
-  queue.schedule_at(2.0, [] {});
-  EXPECT_EQ(queue.pending(), 2u);
-  queue.cancel(a);
+  std::vector<int> order;
+  LabelSink sink(queue, order);
+  sink.schedule(1.0, 1);
+  sink.schedule(5.0, 5);
+  EXPECT_EQ(queue.run_until(2.0), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1}));
   EXPECT_EQ(queue.pending(), 1u);
-  queue.run();
+  EXPECT_FALSE(queue.empty());
+  EXPECT_DOUBLE_EQ(queue.now(), 2.0);
+  EXPECT_EQ(queue.run(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1, 5}));
+  EXPECT_DOUBLE_EQ(queue.now(), 5.0);
   EXPECT_EQ(queue.pending(), 0u);
+}
+
+TEST(EventQueue, SlabSlotsAreReusedAcrossDrain) {
+  // Four typed chains and one closure chain, 10k events in all: a run
+  // frees its slot before scheduling the next record, so neither slab grows
+  // past the number of records in flight at once.
+  EventQueue queue;
+  std::vector<int> order;
+  LabelSink sink(queue, order);
+  constexpr std::size_t kTyped = 8000;
+  constexpr std::size_t kClosures = 2000;
+  sink.reschedule_until(kTyped);
+  for (int chain = 0; chain < 4; ++chain) sink.schedule(0.0, chain);
+  std::size_t ticks = 0;
+  std::function<void()> tick = [&] {
+    if (++ticks < kClosures) queue.schedule_after(0.25, tick);
+  };
+  queue.schedule_at(0.0, tick);
+  queue.run();
+  EXPECT_EQ(order.size(), kTyped);
+  EXPECT_EQ(ticks, kClosures);
+  EXPECT_EQ(queue.executed(), kTyped + kClosures);
+  EXPECT_LE(sink.capacity(), 4u);
+  EXPECT_EQ(queue.closure_capacity(), 1u);
   EXPECT_TRUE(queue.empty());
 }
 
@@ -139,16 +185,6 @@ TEST(EventQueue, RunUntilAdvancesClockOnEmptyQueue) {
   EventQueue queue;
   queue.run_until(9.0);
   EXPECT_DOUBLE_EQ(queue.now(), 9.0);
-}
-
-TEST(EventQueue, CancelDuringExecution) {
-  EventQueue queue;
-  bool second_ran = false;
-  EventId second = 0;
-  queue.schedule_at(1.0, [&] { queue.cancel(second); });
-  second = queue.schedule_at(2.0, [&] { second_ran = true; });
-  queue.run();
-  EXPECT_FALSE(second_ran);
 }
 
 TEST(EventQueue, ExecutedCounterAccumulates) {

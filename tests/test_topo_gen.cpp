@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "moas/topo/metrics.h"
 #include "moas/topo/route_views.h"
+#include "moas/topo/sampler.h"
 
 namespace moas::topo {
 namespace {
@@ -155,6 +160,47 @@ TEST(GenInternet, DrawSequenceGolden) {
   EXPECT_EQ(g.degree(1), 41u);
   EXPECT_EQ(g.degree(65), 13u);
   EXPECT_EQ(rng.next(), 10985903897301118718ULL);
+}
+
+/// FNV-1a over the sorted (a, b, rel_of_b) edge list: a, b as four
+/// little-endian bytes each, the relationship as one byte.
+std::uint64_t edge_list_hash(const AsGraph& g) {
+  std::vector<std::tuple<bgp::Asn, bgp::Asn, std::uint8_t>> edges;
+  for (const AsGraph::Edge& e : g.edges()) {
+    edges.emplace_back(e.a, e.b, static_cast<std::uint8_t>(e.rel_of_b));
+  }
+  std::sort(edges.begin(), edges.end());
+  std::uint64_t hash = 14695981039346656037ULL;
+  const auto mix = [&hash](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      hash ^= (value >> (8 * i)) & 0xffU;
+      hash *= 1099511628211ULL;
+    }
+  };
+  for (const auto& [a, b, rel] : edges) {
+    mix(a, 4);
+    mix(b, 4);
+    mix(rel, 1);
+  }
+  return hash;
+}
+
+TEST(GenInternet, EdgeListGolden) {
+  // Pins every edge, not just counts: the ~10k-AS Internet the benchmarks
+  // and bench figures share (default config, seed 19971108) and its 460-AS
+  // paper-size sample. Any change to the provider draw or the sampler that
+  // moves one edge moves these hashes.
+  util::Rng rng(19971108);
+  const AsGraph internet = generate_internet(InternetConfig{}, rng);
+  EXPECT_EQ(internet.node_count(), 9752u);
+  EXPECT_EQ(internet.edge_count(), 25216u);
+  EXPECT_EQ(edge_list_hash(internet), 2454358150504701651ULL);
+
+  util::Rng sample_rng(460 * 7919);
+  const AsGraph sample = sample_to_size(internet, 460, sample_rng);
+  EXPECT_EQ(sample.node_count(), 458u);
+  EXPECT_EQ(sample.edge_count(), 1643u);
+  EXPECT_EQ(edge_list_hash(sample), 3898404505181792698ULL);
 }
 
 TEST(Metrics, FractionCutOffLinearChain) {
