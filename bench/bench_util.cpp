@@ -135,21 +135,6 @@ void write_run_traces(std::ostream& out, const std::vector<core::RunResult>& res
   }
 }
 
-void write_metrics_manifest(
-    const std::string& path, const std::string& bench,
-    const std::vector<std::pair<std::string, const obs::MetricsRegistry*>>& rows) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"" << bench << "\",\n  \"rows\": {\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    MOAS_REQUIRE(rows[i].second != nullptr, "manifest row needs a registry");
-    out << "    \"" << rows[i].first << "\": " << rows[i].second->to_json()
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  }\n}\n";
-  out.close();
-  std::cout << "wrote metrics manifest " << path << "\n";
-}
-
 std::vector<core::SweepPoint> run_curve(const topo::AsGraph& graph,
                                         const core::ExperimentConfig& config,
                                         std::uint64_t seed, std::size_t attacker_sets,

@@ -6,7 +6,6 @@
 
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "moas/core/experiment.h"
@@ -54,12 +53,6 @@ TraceOptions bench_trace(int argc, char** argv);
 /// Append every run's kept event stream to `out` as JSONL, in the order the
 /// results are given (plan order for execute_plan output).
 void write_run_traces(std::ostream& out, const std::vector<core::RunResult>& results);
-
-/// Write labeled registry snapshots as one JSON metrics manifest:
-/// {"bench": <name>, "rows": {<label>: <registry>, ...}}. Keys are sorted
-/// inside each registry, so equal inputs give byte-equal manifests.
-void write_metrics_manifest(const std::string& path, const std::string& bench,
-                            const std::vector<std::pair<std::string, const obs::MetricsRegistry*>>& rows);
 
 /// The paper's per-point run budget: 3 origin sets x 5 attacker sets.
 inline constexpr std::size_t kOriginSets = 3;

@@ -1,33 +1,29 @@
 // Microbenchmark — wave vs event engine: run the same single-attacker
 // valid-MOAS scenarios (the paper's fig10(b) panel — two legitimate
 // origins announcing one prefix, plus one hijacker) through the
-// event-queue simulation and the rank-ordered wave engine, assert the
-// adoption outcomes are identical run for run, and emit BENCH_wave.json
-// with the per-prefix speedup. Single attacker on purpose: that is the
-// regime where the two engines' converged outcomes are provably identical
-// (DESIGN.md §10), so the bench doubles as a differential gate at
-// full-Internet scale. The valid-MOAS pair is what makes the comparison
-// sharp: three competing origins force the event engine through extended
-// path hunting (every transient best-path flip re-exports), while the
-// wave engine's staged sweeps deliver each peering's *final* update once
-// — its delivery count stays pinned near the flood floor no matter how
+// event-queue simulation and the rank-ordered wave engine on the ~10k-AS
+// shared internet, check the adoption outcomes are identical run for run,
+// and print the per-prefix propagation speedup. Single attacker on purpose:
+// that is the regime where the two engines' converged outcomes are provably
+// identical (DESIGN.md §10). The valid-MOAS pair is what makes the
+// comparison sharp: three competing origins force the event engine through
+// extended path hunting (every transient best-path flip re-exports), while
+// the wave engine's staged sweeps deliver each peering's *final* update
+// once — its delivery count stays pinned near the flood floor no matter how
 // contested the prefix is.
 //
 // Usage:
-//   micro_wave_vs_event [--smoke] [--out PATH]
+//   micro_wave_vs_event
 //
-// Full mode propagates over the ~10k-AS shared internet and FAILS unless
-// the wave engine is >= 10x faster per prefix; --smoke uses the 630-AS
-// paper topology and skips the speed gate (sanitizer builds distort
-// timings) while keeping the outcome-identity gate. Each placement is
-// timed twice per arm and the minimum propagation time kept — machine
-// noise on the multi-second event arm otherwise dwarfs the gate margin.
+// FAILS unless the outcomes are identical and the wave engine is >= 10x
+// faster per prefix. Each placement is timed twice per arm and the minimum
+// propagation time kept — machine noise on the multi-second event arm
+// otherwise dwarfs the gate margin. The outcome identity at paper sizes
+// (250/460/630 ASes, one and two valid origins) is a ctest:
+// WaveDifferential.ShortestPathFullDeploymentSingleAttackerMatchesEventEngine.
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -51,24 +47,10 @@ Outcome outcome_of(const core::RunResult& result) {
   return {result.population, result.adopted_false, result.adopted_valid, result.no_route};
 }
 
-std::string json_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_wave.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg == "--out" && i + 1 < argc) out_path = argv[i + 1];
-  }
-
-  const topo::AsGraph& graph = smoke ? paper_topology(630) : shared_internet();
+int main() {
+  const topo::AsGraph& graph = shared_internet();
   const std::size_t runs = 3;
 
   core::ExperimentConfig event_config;
@@ -86,7 +68,7 @@ int main(int argc, char** argv) {
   wave_config.engine = core::WaveRun{};
 
   std::cout << "=== Micro: wave vs event engine (" << graph.node_count() << "-AS, "
-            << runs << " single-attacker runs" << (smoke ? ", smoke" : "") << ") ===\n\n";
+            << runs << " single-attacker runs) ===\n\n";
 
   const core::Experiment event(graph, event_config);
   const core::Experiment wave(graph, wave_config);
@@ -120,7 +102,7 @@ int main(int argc, char** argv) {
   // Runs are deterministic (same placement + seed => same RunResult), so
   // repeating one is purely a timing measurement: keep the minimum
   // propagation time of `reps` runs per placement to strip scheduler noise.
-  const std::size_t reps = smoke ? 1 : 2;
+  const std::size_t reps = 2;
   auto run_arm = [&](const core::Experiment& experiment,
                      std::vector<Outcome>& outcomes) {
     ArmTiming timing;
@@ -164,30 +146,12 @@ int main(int argc, char** argv) {
   std::cout << "\npropagation speedup (event/wave): " << util::fmt_double(speedup, 2)
             << "x; outcomes identical: " << (identical ? "yes" : "NO") << "\n";
 
-  std::ofstream out(out_path);
-  out << "{\n";
-  out << "  \"bench\": \"micro_wave_vs_event\",\n";
-  out << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n";
-  out << "  \"topology_ases\": " << graph.node_count() << ",\n";
-  out << "  \"runs\": " << runs << ",\n";
-  out << "  \"event_wall_seconds\": " << json_double(event_timing.wall_seconds) << ",\n";
-  out << "  \"event_propagation_seconds\": " << json_double(event_timing.propagation_seconds)
-      << ",\n";
-  out << "  \"wave_wall_seconds\": " << json_double(wave_timing.wall_seconds) << ",\n";
-  out << "  \"wave_propagation_seconds\": " << json_double(wave_timing.propagation_seconds)
-      << ",\n";
-  out << "  \"propagation_speedup\": " << json_double(speedup) << ",\n";
-  out << "  \"outcomes_identical\": " << (identical ? "true" : "false") << "\n";
-  out << "}\n";
-  out.close();
-  std::cout << "wrote " << out_path << "\n";
-
   if (!identical) {
     std::cerr << "FAIL: event and wave adoption outcomes diverged on a "
                  "single-attacker run — the engines no longer agree\n";
     return 1;
   }
-  if (!smoke && speedup < 10.0) {
+  if (speedup < 10.0) {
     std::cerr << "FAIL: wave propagation is only " << util::fmt_double(speedup, 2)
               << "x faster than the event engine on the full internet "
                  "(gate: >= 10x per prefix)\n";

@@ -29,8 +29,7 @@ constexpr bgp::Asn kAsY = 901;
 constexpr bgp::Asn kAsZ = 902;
 constexpr bgp::Asn kAs52 = 52;   // the false origin (Figure 3)
 
-bgp::Network build(bool with_226) {
-  bgp::Network network;
+void build(bgp::Network& network, bool with_226) {
   for (bgp::Asn asn : {kAs40, kAsX, kAsY, kAsZ, kAs52}) network.add_router(asn);
   if (with_226) network.add_router(kAs226);
   network.connect(kAs40, kAsY);
@@ -39,7 +38,6 @@ bgp::Network build(bool with_226) {
   network.connect(kAs40, kAs52);
   network.connect(kAsZ, kAs52);
   if (with_226) network.connect(kAs226, kAsZ);
-  return network;
 }
 
 void show(const bgp::Network& network, const net::Prefix& prefix) {
@@ -59,7 +57,8 @@ int main() {
 
   std::cout << "--- Figure 1: AS 40 originates " << prefix.to_string() << " ---\n";
   {
-    auto network = build(false);
+    bgp::Network network;
+    build(network, false);
     network.router(kAs40).originate(prefix);
     network.run_to_quiescence();
     show(network, prefix);
@@ -67,7 +66,8 @@ int main() {
 
   std::cout << "\n--- Figure 2: valid MOAS, AS 40 and AS 226 both originate ---\n";
   {
-    auto network = build(true);
+    bgp::Network network;
+    build(network, true);
     const auto list = core::encode_moas_list({kAs40, kAs226});
     network.router(kAs40).originate(prefix, list);
     network.router(kAs226).originate(prefix, list);
@@ -79,7 +79,8 @@ int main() {
 
   std::cout << "\n--- Figure 3: AS 52 falsely originates, plain BGP ---\n";
   {
-    auto network = build(false);
+    bgp::Network network;
+    build(network, false);
     network.router(kAs40).originate(prefix);
     core::AttackPlan attack;
     attack.attacker = kAs52;
@@ -97,7 +98,8 @@ int main() {
 
   std::cout << "\n--- Figure 3 again, with MOAS-list checking deployed ---\n";
   {
-    auto network = build(false);
+    bgp::Network network;
+    build(network, false);
     auto registry = std::make_shared<core::PrefixOriginDb>();
     registry->set(prefix, {kAs40});
     auto resolver = std::make_shared<core::OracleResolver>(registry);

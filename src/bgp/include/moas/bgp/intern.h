@@ -24,7 +24,7 @@
 //     only and must never reach an output that is compared across runs.
 //
 // DESIGN.md §13 documents the layout and the bytes/route accounting that
-// bench/micro_rib_footprint gates.
+// the MultiPrefix ctests and perfbench's wave_multiprefix check gate.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +34,7 @@
 
 namespace moas::bgp::intern {
 
-/// Footprint snapshot of one pool, for the micro_rib_footprint accounting.
+/// Footprint snapshot of one pool, for the multi-prefix bytes/route accounting.
 struct PoolUsage {
   /// Distinct interned values.
   std::size_t entries = 0;

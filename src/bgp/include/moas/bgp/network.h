@@ -84,6 +84,10 @@ class Network final : private sim::EventSink {
 
   Network();  // default Config
   explicit Network(Config config);
+  // Every router's send callback captures this network (and its own Node),
+  // so a copied or moved network would deliver into the original object.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   /// Create a router for `asn`. Must not already exist.
   Router& add_router(Asn asn);

@@ -68,7 +68,8 @@ struct MultiPrefixResult {
   /// handles are inline vector headers again (+16 bytes each), and entries
   /// sit in std::map red-black nodes (+32 bytes per entry and per prefix
   /// row; conservative — malloc chunk overhead is ignored).
-  /// micro_rib_footprint gates interned bytes/route strictly below this.
+  /// The MultiPrefix ctests and perfbench's wave.interned_below_baseline
+  /// check gate the interned footprint strictly below this.
   std::size_t baseline_rib_bytes = 0;
 
   double propagation_seconds = 0.0;  // wall clock inside propagate()

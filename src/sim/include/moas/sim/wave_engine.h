@@ -60,6 +60,10 @@ class WaveEngine {
   /// outlive the engine; its customer-provider relationships must be
   /// acyclic (rank_by_customer_cone rejects the rest).
   WaveEngine(const topo::AsGraph& graph, Config config);
+  // Every router's send callback captures this engine, so a copied or
+  // moved engine would deliver into the original object.
+  WaveEngine(const WaveEngine&) = delete;
+  WaveEngine& operator=(const WaveEngine&) = delete;
 
   /// The per-AS router — configure validators, export filters, community
   /// stripping, and originations through it exactly like on a Network

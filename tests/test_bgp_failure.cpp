@@ -24,18 +24,17 @@ void expect_invariants(const Network& network) {
 }
 
 /// Diamond: 1 - {2, 3} - 4.
-Network diamond() {
-  Network network;
+void diamond(Network& network) {
   for (Asn asn : {1u, 2u, 3u, 4u}) network.add_router(asn);
   network.connect(1, 2);
   network.connect(1, 3);
   network.connect(2, 4);
   network.connect(3, 4);
-  return network;
 }
 
 TEST(Failure, LinkDownReroutesAroundIt) {
-  auto network = diamond();
+  Network network;
+  diamond(network);
   network.router(1).originate(pfx("10.0.0.0/8"));
   network.run_to_quiescence();
   const RibEntry* before = network.router(4).best(pfx("10.0.0.0/8"));
@@ -96,7 +95,8 @@ TEST(Failure, InFlightMessagesDropWithTheLink) {
 }
 
 TEST(Failure, LinkStateQueriesAndValidation) {
-  auto network = diamond();
+  Network network;
+  diamond(network);
   EXPECT_TRUE(network.link_up(1, 2));
   network.set_link_up(1, 2, false);
   EXPECT_FALSE(network.link_up(1, 2));
@@ -152,7 +152,8 @@ TEST(Failure, DetectorStateSurvivesChurn) {
 
 TEST(Failure, WithdrawStormIsBounded) {
   // A flapping link must not leave the network churning forever.
-  auto network = diamond();
+  Network network;
+  diamond(network);
   network.router(1).originate(pfx("10.0.0.0/8"));
   network.run_to_quiescence();
   const auto baseline = network.messages_sent();
@@ -171,7 +172,8 @@ TEST(Failure, WithdrawStormIsBounded) {
 TEST(Failure, FlapTrainConvergesWithInvariants) {
   // A rapid down/up train on both of AS 4's uplinks, with quiescence only
   // at the end: the network must settle with consistent state.
-  auto network = diamond();
+  Network network;
+  diamond(network);
   network.router(1).originate(pfx("10.0.0.0/8"));
   network.run_to_quiescence();
   for (int i = 0; i < 5; ++i) {
@@ -339,7 +341,8 @@ TEST(Failure, GracefulRestartStaleRoutesFeedColdRebuild) {
 }
 
 TEST(Failure, CrashLosesStateAndRestartRelearns) {
-  auto network = diamond();
+  Network network;
+  diamond(network);
   network.router(1).originate(pfx("10.0.0.0/8"));
   network.run_to_quiescence();
   ASSERT_NE(network.router(4).best(pfx("10.0.0.0/8")), nullptr);

@@ -166,17 +166,17 @@ TEST(Network, QuiescenceCapDetected) {
   EXPECT_FALSE(network.run_to_quiescence(100));
 }
 
-/// Two routers, 1 and 2, on a one-second link with no jitter: whatever 1
-/// sends at t=0 is in flight until t=1.
-Network slow_pair() {
+/// One-second links with no jitter: whatever router 1 sends at t=0 is in
+/// flight until t=1.
+Network::Config slow_links() {
   Network::Config config;
   config.link_delay = 1.0;
   config.jitter = 0.0;
-  return Network(config);
+  return config;
 }
 
 TEST(Network, UpdateInFlightWhenItsLinkFailsIsDropped) {
-  Network network = slow_pair();
+  Network network(slow_links());
   network.add_router(1);
   network.add_router(2);
   network.connect(1, 2);
@@ -193,7 +193,7 @@ TEST(Network, UpdateInFlightWhenItsLinkFailsIsDropped) {
 TEST(Network, UpdateInFlightWhenItsReceiverCrashesIsDropped) {
   // Router 3 hangs off 1 on a healthy session: while the crash is active,
   // only the message aimed at the crashed router may be lost.
-  Network network = slow_pair();
+  Network network(slow_links());
   for (Asn asn : {1u, 2u, 3u}) network.add_router(asn);
   network.connect(1, 2);
   network.connect(1, 3);

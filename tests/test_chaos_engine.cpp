@@ -17,16 +17,12 @@ using bgp::Network;
 
 net::Prefix pfx(const char* text) { return *net::Prefix::parse(text); }
 
-Network diamond(std::uint64_t seed = 1) {
-  Network::Config config;
-  config.seed = seed;
-  Network network(config);
+void diamond(Network& network) {
   for (Asn asn : {1u, 2u, 3u, 4u}) network.add_router(asn);
   network.connect(1, 2);
   network.connect(1, 3);
   network.connect(2, 4);
   network.connect(3, 4);
-  return network;
 }
 
 /// Canonical textual dump of every router's Loc-RIB (the "final RIB state"
@@ -74,7 +70,8 @@ struct ArmedRunOutcome {
 /// Originate two prefixes, arm the full schedule, run everything to
 /// quiescence, audit invariants, return the replay log and final RIBs.
 ArmedRunOutcome armed_run(std::uint64_t seed) {
-  Network network = diamond(seed);
+  Network network(Network::Config{.seed = seed});
+  diamond(network);
   ChaosEngine engine(network,
                      compile_schedule(churn_config(seed), network.links(), network.asns()));
   network.router(1).originate(pfx("10.0.0.0/8"));
@@ -102,7 +99,8 @@ TEST(ChaosEngine, DifferentSeedsExploreDifferentFaults) {
 TEST(ChaosEngine, ArmedScheduleRecoversToValidRouting) {
   // After the full schedule (all recoveries inside the horizon), routing
   // must be back: every router reaches both prefixes.
-  Network network = diamond(7);
+  Network network(Network::Config{.seed = 7});
+  diamond(network);
   ChaosEngine engine(network,
                      compile_schedule(churn_config(7), network.links(), network.asns()));
   network.router(1).originate(pfx("10.0.0.0/8"));
@@ -118,7 +116,8 @@ TEST(ChaosEngine, ArmedScheduleRecoversToValidRouting) {
 }
 
 TEST(ChaosEngine, BatchModeKeepsInvariantsBetweenBatches) {
-  Network network = diamond(3);
+  Network network(Network::Config{.seed = 3});
+  diamond(network);
   ScheduleConfig config = churn_config(3);
   config.msg_drop = config.msg_duplicate = config.msg_reorder = 0.0;  // discrete faults only
   ChaosEngine engine(network,
@@ -145,7 +144,8 @@ TEST(ChaosEngine, CorruptionTravelsTheWirePath) {
   // by the receiver: most damage is detected (NOTIFICATION + session
   // reset), some is harmless, some slips through as different routes. After
   // the fault clears, the network heals and invariants hold.
-  Network network = diamond(5);
+  Network network(Network::Config{.seed = 5});
+  diamond(network);
   ScheduleConfig config;
   config.seed = 5;
   config.msg_corrupt = 1.0;
@@ -175,20 +175,21 @@ class CrashRestartProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(CrashRestartProperty, RestartReconvergesToBaseline) {
   const std::uint64_t seed = GetParam();
   for (Asn victim : {1u, 2u, 4u}) {
-    auto build = [&] {
-      Network network = diamond(seed);
+    auto build = [&](Network& network) {
+      diamond(network);
       // Order-independent tie-breaks so both runs reach the same fixed
       // point regardless of message timing.
       for (Asn asn : network.asns()) network.router(asn).set_prefer_established(false);
       network.router(1).originate(pfx("10.0.0.0/8"));
       network.router(4).originate(pfx("20.0.0.0/8"));
-      return network;
     };
 
-    Network baseline = build();
+    Network baseline(Network::Config{.seed = seed});
+    build(baseline);
     ASSERT_TRUE(baseline.run_to_quiescence());
 
-    Network crashed = build();
+    Network crashed(Network::Config{.seed = seed});
+    build(crashed);
     ASSERT_TRUE(crashed.run_to_quiescence());
     crashed.crash_router(victim);
     ASSERT_TRUE(crashed.run_to_quiescence());
@@ -227,7 +228,8 @@ void drive_traffic(Network& network) {
 }
 
 TEST(ChaosEngine, ScheduledCorruptionResetsSessionsUnderStrict4271) {
-  Network network = diamond(17);
+  Network network(Network::Config{.seed = 17});
+  diamond(network);
   ChaosEngine engine(network,
                      compile_schedule(corruption_only(17), network.links(), network.asns()));
   network.router(1).originate(pfx("10.0.0.0/8"));
@@ -289,7 +291,8 @@ TEST(ChaosEngine, ScheduledCorruptionDegradesWithoutResetsUnder7606) {
 }
 
 TEST(ChaosEngine, CrashDropsInFlightAndState) {
-  Network network = diamond(9);
+  Network network(Network::Config{.seed = 9});
+  diamond(network);
   network.router(1).originate(pfx("10.0.0.0/8"));
   ASSERT_TRUE(network.run_to_quiescence());
   ASSERT_NE(network.router(2).best(pfx("10.0.0.0/8")), nullptr);

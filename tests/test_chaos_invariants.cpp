@@ -18,18 +18,17 @@ using bgp::Network;
 
 net::Prefix pfx(const char* text) { return *net::Prefix::parse(text); }
 
-Network diamond() {
-  Network network;
+void diamond(Network& network) {
   for (Asn asn : {1u, 2u, 3u, 4u}) network.add_router(asn);
   network.connect(1, 2);
   network.connect(1, 3);
   network.connect(2, 4);
   network.connect(3, 4);
-  return network;
 }
 
 TEST(ChaosInvariants, CleanAfterConvergence) {
-  auto network = diamond();
+  Network network;
+  diamond(network);
   network.router(1).originate(pfx("10.0.0.0/8"));
   network.router(4).originate(pfx("20.0.0.0/8"));
   ASSERT_TRUE(network.run_to_quiescence());
@@ -39,7 +38,8 @@ TEST(ChaosInvariants, CleanAfterConvergence) {
 }
 
 TEST(ChaosInvariants, CleanAfterFailureAndRecovery) {
-  auto network = diamond();
+  Network network;
+  diamond(network);
   network.router(1).originate(pfx("10.0.0.0/8"));
   ASSERT_TRUE(network.run_to_quiescence());
   network.set_link_up(2, 4, false);
@@ -54,7 +54,8 @@ TEST(ChaosInvariants, CleanAfterFailureAndRecovery) {
 TEST(ChaosInvariants, SilentlySeveredLinkIsCaught) {
   // The negative control: fail a link *without* the session-down flushes.
   // Both sides keep routing over the dead link; the checker must see it.
-  auto network = diamond();
+  Network network;
+  diamond(network);
   network.router(1).originate(pfx("10.0.0.0/8"));
   ASSERT_TRUE(network.run_to_quiescence());
   const bgp::RibEntry* best = network.router(4).best(pfx("10.0.0.0/8"));
@@ -110,7 +111,8 @@ TEST(ChaosInvariants, DroppedWithdrawLeavesStaleAdjRibIn) {
 }
 
 TEST(ChaosInvariants, CustomChecksRun) {
-  auto network = diamond();
+  Network network;
+  diamond(network);
   ASSERT_TRUE(network.run_to_quiescence());
   NetworkInvariantChecker checker;
   checker.add_custom([](const Network&, std::vector<NetworkInvariantChecker::Violation>& out) {
@@ -122,7 +124,8 @@ TEST(ChaosInvariants, CustomChecksRun) {
 }
 
 TEST(ChaosInvariants, MoasChecksCatchOutOfOrderAlarms) {
-  auto network = diamond();
+  Network network;
+  diamond(network);
   ASSERT_TRUE(network.run_to_quiescence());
 
   auto alarms = std::make_shared<core::AlarmLog>();
@@ -141,7 +144,8 @@ TEST(ChaosInvariants, MoasChecksCatchOutOfOrderAlarms) {
 }
 
 TEST(ChaosInvariants, MoasChecksAcceptHealthyDetectorRun) {
-  auto network = diamond();
+  Network network;
+  diamond(network);
   auto truth = std::make_shared<core::PrefixOriginDb>();
   const auto prefix = pfx("10.0.0.0/8");
   truth->set(prefix, {1});

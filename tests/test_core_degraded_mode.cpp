@@ -301,21 +301,38 @@ TEST(DegradedMode, ExperimentSettlesEveryAlarm) {
 }
 
 TEST(DegradedMode, SweepBitIdenticalAcrossJobCounts) {
+  // Flaky DNS behind the IRR fallback, registry outages and Summary tracing,
+  // all racing across the worker pool: every SweepPoint field must match the
+  // serial sweep exactly. EXPECT_EQ on doubles on purpose — the contract is
+  // bit-identity, not closeness.
   Experiment experiment(shared_topology(), outage_config());
-  const std::vector<double> fractions = {0.05};
+  const std::vector<double> fractions = {0.05, 0.20};
   auto run_sweep = [&](std::size_t jobs) {
     util::Rng rng(7);
     return experiment.sweep(fractions, 2, 2, rng, jobs);
   };
   const auto serial = run_sweep(1);
+  ASSERT_EQ(serial.size(), fractions.size());
   for (std::size_t jobs : {std::size_t{2}, std::size_t{8}}) {
     const auto parallel = run_sweep(jobs);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i].metrics, serial[i].metrics)
-          << "jobs=" << jobs << " diverged at point " << i;
-      EXPECT_DOUBLE_EQ(parallel[i].mean_adopted_false, serial[i].mean_adopted_false);
-      EXPECT_DOUBLE_EQ(parallel[i].mean_alarms, serial[i].mean_alarms);
+      SCOPED_TRACE("jobs=" + std::to_string(jobs) + " point " + std::to_string(i));
+      const SweepPoint& a = serial[i];
+      const SweepPoint& b = parallel[i];
+      EXPECT_EQ(b.attacker_fraction, a.attacker_fraction);
+      EXPECT_EQ(b.runs, a.runs);
+      EXPECT_EQ(b.mean_adopted_false, a.mean_adopted_false);
+      EXPECT_EQ(b.stddev_adopted_false, a.stddev_adopted_false);
+      EXPECT_EQ(b.mean_affected, a.mean_affected);
+      EXPECT_EQ(b.mean_no_route, a.mean_no_route);
+      EXPECT_EQ(b.mean_alarms, a.mean_alarms);
+      EXPECT_EQ(b.mean_false_alarms, a.mean_false_alarms);
+      EXPECT_EQ(b.mean_structural_cutoff, a.mean_structural_cutoff);
+      EXPECT_EQ(b.runs_false_route_stuck, a.runs_false_route_stuck);
+      // Whole-registry equality: every counter, gauge and histogram bucket
+      // (the latency histograms included) must merge identically.
+      EXPECT_EQ(b.metrics, a.metrics);
     }
   }
 }

@@ -11,14 +11,12 @@ namespace {
 const net::Prefix kPrefix = *net::Prefix::parse("135.38.0.0/16");
 
 /// Square 1-2-3-4-1: origin at 1, optional attacker at 3.
-bgp::Network square() {
-  bgp::Network network;
+void square(bgp::Network& network) {
   for (bgp::Asn asn : {1u, 2u, 3u, 4u}) network.add_router(asn);
   network.connect(1, 2);
   network.connect(2, 3);
   network.connect(3, 4);
   network.connect(4, 1);
-  return network;
 }
 
 TEST(MoasMonitor, RequiresVantages) {
@@ -26,7 +24,8 @@ TEST(MoasMonitor, RequiresVantages) {
 }
 
 TEST(MoasMonitor, QuietOnHealthyNetwork) {
-  auto network = square();
+  bgp::Network network;
+  square(network);
   network.router(1).originate(kPrefix);
   network.run_to_quiescence();
   MoasMonitor monitor({2, 3, 4});
@@ -34,7 +33,8 @@ TEST(MoasMonitor, QuietOnHealthyNetwork) {
 }
 
 TEST(MoasMonitor, QuietOnConsistentValidMoas) {
-  auto network = square();
+  bgp::Network network;
+  square(network);
   const auto list = encode_moas_list({1, 3});
   network.router(1).originate(kPrefix, list);
   network.router(3).originate(kPrefix, list);
@@ -74,7 +74,8 @@ TEST(MoasMonitor, DetectsHijackAcrossVantages) {
 }
 
 TEST(MoasMonitor, OneAlarmPerConflictingPrefix) {
-  auto network = square();
+  bgp::Network network;
+  square(network);
   network.router(1).originate(kPrefix);
   AttackPlan plan;
   plan.attacker = 3;
@@ -92,7 +93,8 @@ TEST(MoasMonitor, SingleVantageSeesNoConflict) {
   // A single table cannot disagree with itself: the monitor needs multiple
   // peers (the paper: "checks the MOAS List consistency from multiple
   // peers").
-  auto network = square();
+  bgp::Network network;
+  square(network);
   network.router(1).originate(kPrefix);
   AttackPlan plan;
   plan.attacker = 3;

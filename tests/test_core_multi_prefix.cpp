@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "moas/bgp/intern.h"
 #include "moas/topo/gen_internet.h"
 #include "moas/topo/sampler.h"
 
@@ -141,6 +142,39 @@ TEST(MultiPrefix, WaveRunBeyondTwoOctetAsnSpace) {
   EXPECT_EQ(result.false_alarms, 0u);
   EXPECT_GT(result.adopted_valid, 0u);
   EXPECT_LT(result.rib_bytes, result.baseline_rib_bytes);
+}
+
+TEST(MultiPrefix, InternedBytesBelowUninternedModelOnPaperSample) {
+  // The RIB-footprint gate on the 630-AS paper sample that fig9-11 sweep:
+  // the ~10k-AS shared Internet (seed 19971108) sampled with the 630-AS
+  // seed. What the process holds for the converged tables — the compact RIB
+  // containers plus the interning pools — must stay below the modeled
+  // pre-interning layout of the same entries, and the attacked half of the
+  // prefixes must raise alarms.
+  util::Rng internet_rng(19971108);
+  const topo::AsGraph internet = topo::generate_internet(topo::InternetConfig{}, internet_rng);
+  util::Rng sample_rng(630 * 7919 + 1);
+  const topo::AsGraph graph = topo::sample_to_size(internet, 630, sample_rng);
+
+  MultiPrefixConfig workload;
+  workload.num_prefixes = 64;
+  workload.block_size = 16;
+  workload.attacked_fraction = 0.5;
+  workload.origins_per_prefix = 2;  // every prefix carries a MOAS list
+  workload.seed = 0x51b5;
+  const MultiPrefixResult result = run_multi_prefix(graph, workload);
+
+  // The intern pools are process-global and only grow, so this counts every
+  // pool byte the process holds. ctest runs each test in its own process,
+  // where that is exactly this workload's pool; run in one process with
+  // other tests, their entries only add to the interned side, which makes
+  // the check stricter, never looser.
+  const std::size_t pool_bytes = bgp::intern::pool_stats().total_bytes();
+  EXPECT_EQ(result.attacked, 32u);
+  EXPECT_GT(result.alarms, 0u);
+  EXPECT_GT(result.rib_entries, 0u);
+  EXPECT_LT(result.rib_bytes + pool_bytes, result.baseline_rib_bytes)
+      << "RIB containers " << result.rib_bytes << " B + pools " << pool_bytes << " B";
 }
 
 }  // namespace

@@ -104,22 +104,31 @@ TEST(WaveDifferential, ShortestPathFullDeploymentSingleAttackerMatchesEventEngin
   // depends on transient path exploration, which is event-time fidelity the
   // wave engine deliberately does not model (DESIGN.md §10); the aggregate
   // gate below covers that regime.
+  //
+  // Two valid origins is the legitimate-MOAS case (the paper's fig9(b) and
+  // fig10(b) panels): three origins race for the prefix, which drives the
+  // event engine through extended path hunting while the wave engine
+  // delivers each peering's final update once.
   ExperimentConfig config;
   config.policy = bgp::PolicyMode::ShortestPath;
   config.deployment = Deployment::Full;
   config.resolver = ResolverKind::Oracle;
-  for (std::size_t size : {std::size_t{250}, std::size_t{460}, std::size_t{630}}) {
-    const topo::AsGraph& graph = sampled(size);
-    const Experiment event(graph, event_arm(config));
-    const Experiment wave(graph, wave_arm(config));
-    util::Rng rng(size * 7 + 1);
-    for (int trial = 0; trial < 3; ++trial) {
-      SCOPED_TRACE("size " + std::to_string(size) + " trial " + std::to_string(trial));
-      const bgp::AsnSet origins = event.draw_origins(rng);
-      const bgp::AsnSet attackers = event.draw_attackers(1, origins, rng);
-      const std::uint64_t seed = rng.next();
-      expect_identical_outcome(event.run_with(origins, attackers, seed),
-                               wave.run_with(origins, attackers, seed));
+  for (std::size_t num_origins : {std::size_t{1}, std::size_t{2}}) {
+    config.num_origins = num_origins;
+    for (std::size_t size : {std::size_t{250}, std::size_t{460}, std::size_t{630}}) {
+      const topo::AsGraph& graph = sampled(size);
+      const Experiment event(graph, event_arm(config));
+      const Experiment wave(graph, wave_arm(config));
+      util::Rng rng(size * 7 + 1);
+      for (int trial = 0; trial < 3; ++trial) {
+        SCOPED_TRACE("origins " + std::to_string(num_origins) + " size " +
+                     std::to_string(size) + " trial " + std::to_string(trial));
+        const bgp::AsnSet origins = event.draw_origins(rng);
+        const bgp::AsnSet attackers = event.draw_attackers(1, origins, rng);
+        const std::uint64_t seed = rng.next();
+        expect_identical_outcome(event.run_with(origins, attackers, seed),
+                                 wave.run_with(origins, attackers, seed));
+      }
     }
   }
 }
