@@ -4,16 +4,15 @@
 // the MOAS-list scheme. The run doubles as a robustness gate: every run is
 // audited by the network invariant checker, and moderate churn must not
 // blow adoption of false routes past 2x the fault-free baseline.
-#include <cmath>
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <utility>
 
 #include "bench_util.h"
 #include "moas/chaos/schedule.h"
-#include "moas/core/monitor.h"
-#include "moas/util/stats.h"
 #include "moas/util/strings.h"
 
 using namespace moas;
@@ -51,31 +50,37 @@ chaos::ScheduleConfig churn_regime(double flaps_per_link, double msg_fault_rate)
   return config;
 }
 
+/// One sweep point plus the churn bookkeeping a SweepPoint drops. Counter
+/// sums are read by name from the point's merged registry.
 struct Cell {
-  double adopted_false = 0.0;  // mean fraction of non-attacker ASes
-  double no_route = 0.0;
-  double alarms = 0.0;
+  core::SweepPoint point;
   std::size_t fault_events = 0;
-  std::uint64_t message_faults = 0;
   std::size_t violations = 0;
-  std::uint64_t withdrawals = 0;  // summed over runs: wire churn
-  std::uint64_t routes_withdrawn = 0;  // receiver-side route loss (incl. flushes)
-  std::uint64_t announcements = 0;
-  std::uint64_t stale_retained = 0;
-  std::uint64_t resolver_queries = 0;  // backend (registry) load
-  std::uint64_t cache_hits = 0;
   std::string first_fault_log;  // replay log of the cell's first run
-  core::ErrorHandlingSummary error_handling;  // typed view over `metrics`
-  /// Per-run registries merged in plan order, plus the cell's alarm-latency
-  /// histograms under the same names the sweep reducer uses.
-  obs::MetricsRegistry metrics;
-  std::size_t stuck_runs = 0;  // false route still installed at quiescence
 };
 
-/// Mirrors Experiment::run_point (3 origin sets x 5 attacker sets), but
-/// keeps the churn bookkeeping run_point's SweepPoint drops. Uses the same
-/// plan → execute → reduce shape as Experiment::sweep, so the Rng stream
-/// and every run result match the historical serial loop for any `jobs`.
+// Registry names the comparison tables and gates read.
+constexpr const char* kWithdrawals = "router.withdrawals_sent";
+constexpr const char* kAnnouncements = "router.announcements_sent";
+constexpr const char* kRoutesWithdrawn = "router.routes_withdrawn";
+constexpr const char* kSessionResets = "chaos.corrupt_session_resets";
+
+/// The chaos engine's per-message fault tallies: drops, duplicates,
+/// reorders, and corruptions by outcome.
+std::uint64_t message_faults(const obs::MetricsRegistry& metrics) {
+  std::uint64_t total = 0;
+  for (const char* name :
+       {"chaos.msgs_dropped", "chaos.msgs_duplicated", "chaos.msgs_reordered",
+        "chaos.corruptions_detected", "chaos.corruptions_undetected",
+        "chaos.corruptions_harmless", "chaos.attr_corruptions_applied"}) {
+    total += metrics.counter(name);
+  }
+  return total;
+}
+
+/// Experiment::run_point (3 origin sets x 5 attacker sets) through the same
+/// plan → execute → reduce stages, keeping the per-run churn bookkeeping
+/// and the event streams for --trace-out.
 Cell run_cell(const core::Experiment& experiment, double attacker_fraction,
               util::Rng& rng, std::size_t jobs) {
   const core::SweepPlan plan =
@@ -84,46 +89,38 @@ Cell run_cell(const core::Experiment& experiment, double attacker_fraction,
   const std::vector<core::RunResult> results = experiment.execute_plan(plan, pool);
 
   Cell cell;
-  util::Accumulator adopted, no_route, alarms;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const core::RunResult& run = results[i];
-    adopted.add(run.adopted_false_fraction());
-    no_route.add(run.no_route_fraction());
-    alarms.add(static_cast<double>(run.alarms));
+  cell.point = experiment.reduce_plan(plan, results).front();
+  cell.first_fault_log = results.front().fault_log;
+  for (const core::RunResult& run : results) {
     cell.fault_events += run.fault_events;
-    cell.message_faults += run.message_faults;
     cell.violations += run.invariant_report.size();
-    cell.withdrawals += run.withdrawals;
-    cell.routes_withdrawn += run.routes_withdrawn;
-    cell.announcements += run.announcements;
-    cell.stale_retained += run.stale_retained;
-    cell.resolver_queries += run.resolver_queries;
-    cell.cache_hits += run.resolver_cache_hits;
-    cell.metrics.merge(run.metrics);
-    if (run.first_alarm_latency >= 0.0) {
-      cell.metrics.histogram("detector.first_alarm_latency", core::kAlarmLatencySpec)
-          .add(run.first_alarm_latency);
-    }
-    if (run.eviction_latency >= 0.0) {
-      cell.metrics.histogram("detector.eviction_latency", core::kAlarmLatencySpec)
-          .add(run.eviction_latency);
-    }
-    if (run.false_route_stuck) ++cell.stuck_runs;
-    if (i == 0) cell.first_fault_log = run.fault_log;
     for (const std::string& violation : run.invariant_report) {
       std::cerr << "invariant violation: " << violation << "\n";
     }
   }
   if (g_trace_out.is_open()) write_run_traces(g_trace_out, results);
-  cell.metrics.histogram("detector.first_alarm_latency", core::kAlarmLatencySpec);
-  cell.metrics.histogram("detector.eviction_latency", core::kAlarmLatencySpec);
-  // The summary table is a typed read of the merged registry — the chaos
-  // and router counters feeding it have no separate bookkeeping path.
-  cell.error_handling = core::ErrorHandlingSummary::from_metrics(cell.metrics);
-  cell.adopted_false = adopted.mean();
-  cell.no_route = no_route.mean();
-  cell.alarms = alarms.mean();
   return cell;
+}
+
+/// RFC 7606 error-handling counters per arm: how much damage arrived and
+/// which degradation mode absorbed it. "resets-avoided" counts corruptions
+/// a strict RFC 4271 receiver would have answered with a session reset.
+void print_error_handling_table(
+    const std::vector<std::pair<const char*, const obs::MetricsRegistry*>>& rows) {
+  util::TablePrinter table({"arm", "corruptions", "treat-as-withdraw", "attr-discard",
+                            "resets-avoided", "session-resets", "error-withdraws",
+                            "poisoned-blocked"});
+  for (const auto& [label, m] : rows) {
+    const std::uint64_t treat_as_withdraw = m->counter("chaos.treat_as_withdraws");
+    const std::uint64_t attr_discard = m->counter("chaos.attr_discards");
+    table.add_row({label, std::to_string(m->counter("chaos.attr_corruptions_applied")),
+                   std::to_string(treat_as_withdraw), std::to_string(attr_discard),
+                   std::to_string(treat_as_withdraw + attr_discard),
+                   std::to_string(m->counter(kSessionResets)),
+                   std::to_string(m->counter("router.error_withdraws")),
+                   std::to_string(m->counter("chaos.poisoned_blocked"))});
+  }
+  table.print(std::cout);
 }
 
 /// The churn configs share the scenario (full deployment, own-list
@@ -175,24 +172,26 @@ int main(int argc, char** argv) {
     for (std::size_t f = 0; f < fractions.size(); ++f) {
       const Cell cell = run_cell(experiment, fractions[f], rng, jobs);
       const obs::FixedHistogram* alarm_lat =
-          cell.metrics.find_histogram("detector.first_alarm_latency");
+          cell.point.metrics.find_histogram("detector.first_alarm_latency");
       const obs::FixedHistogram* evict_lat =
-          cell.metrics.find_histogram("detector.eviction_latency");
+          cell.point.metrics.find_histogram("detector.eviction_latency");
       table.add_row({regime.label, util::fmt_double(fractions[f] * 100.0, 0),
-                     util::fmt_double(cell.adopted_false * 100.0, 2),
-                     util::fmt_double(cell.no_route * 100.0, 2),
-                     util::fmt_double(cell.alarms, 1),
+                     util::fmt_double(cell.point.mean_adopted_false * 100.0, 2),
+                     util::fmt_double(cell.point.mean_no_route * 100.0, 2),
+                     util::fmt_double(cell.point.mean_alarms, 1),
                      util::fmt_double(alarm_lat->quantile(0.5), 2),
                      util::fmt_double(evict_lat->quantile(0.9), 2),
-                     std::to_string(cell.stuck_runs), std::to_string(cell.fault_events),
-                     std::to_string(cell.message_faults), std::to_string(cell.violations)});
+                     std::to_string(cell.point.runs_false_route_stuck),
+                     std::to_string(cell.fault_events),
+                     std::to_string(message_faults(cell.point.metrics)),
+                     std::to_string(cell.violations)});
       if (cell.violations > 0) {
         ok = false;
         std::cerr << "FAIL: " << cell.violations << " invariant violations under '"
                   << regime.label << "' churn\n";
       }
       if (regime.churn == std::nullopt) {
-        baseline[f] = cell.adopted_false;
+        baseline[f] = cell.point.mean_adopted_false;
       } else if (regime.gated) {
         // Churn may cost some adoption (flapped-away valid paths let a false
         // route in), but full deployment must stay within ~2x the fault-free
@@ -202,10 +201,10 @@ int main(int argc, char** argv) {
         // and false alike — survive churn than when a reset could leave a
         // session down for the rest of the run.
         const double allowed = std::max(2.25 * baseline[f], 0.011);
-        if (cell.adopted_false > allowed) {
+        if (cell.point.mean_adopted_false > allowed) {
           ok = false;
-          std::cerr << "FAIL: adoption " << cell.adopted_false << " under '" << regime.label
-                    << "' churn exceeds 2x baseline " << baseline[f] << "\n";
+          std::cerr << "FAIL: adoption " << cell.point.mean_adopted_false << " under '"
+                    << regime.label << "' churn exceeds 2x baseline " << baseline[f] << "\n";
         }
       }
     }
@@ -241,38 +240,39 @@ int main(int argc, char** argv) {
 
   util::TablePrinter restart_table({"restart_mode", "withdrawals", "announcements",
                                     "stale_retained", "adopting_false_pct", "violations"});
-  restart_table.add_row({"cold", std::to_string(cold.withdrawals),
-                         std::to_string(cold.announcements),
-                         std::to_string(cold.stale_retained),
-                         util::fmt_double(cold.adopted_false * 100.0, 2),
-                         std::to_string(cold.violations)});
-  restart_table.add_row({"graceful", std::to_string(graceful.withdrawals),
-                         std::to_string(graceful.announcements),
-                         std::to_string(graceful.stale_retained),
-                         util::fmt_double(graceful.adopted_false * 100.0, 2),
-                         std::to_string(graceful.violations)});
+  for (const auto& [label, cell] : {std::pair{"cold", &cold}, std::pair{"graceful", &graceful}}) {
+    const obs::MetricsRegistry& m = cell->point.metrics;
+    restart_table.add_row({label, std::to_string(m.counter(kWithdrawals)),
+                           std::to_string(m.counter(kAnnouncements)),
+                           std::to_string(m.counter("router.stale_retained")),
+                           util::fmt_double(cell->point.mean_adopted_false * 100.0, 2),
+                           std::to_string(cell->violations)});
+  }
   restart_table.print(std::cout);
 
+  const obs::MetricsRegistry& cold_m = cold.point.metrics;
+  const obs::MetricsRegistry& graceful_m = graceful.point.metrics;
   if (cold.violations + graceful.violations > 0) {
     ok = false;
     std::cerr << "FAIL: invariant violations in the restart-mode comparison\n";
   }
-  if (graceful.withdrawals >= cold.withdrawals) {
+  if (graceful_m.counter(kWithdrawals) >= cold_m.counter(kWithdrawals)) {
     ok = false;
-    std::cerr << "FAIL: graceful restart sent " << graceful.withdrawals
-              << " withdrawals, cold restart " << cold.withdrawals
+    std::cerr << "FAIL: graceful restart sent " << graceful_m.counter(kWithdrawals)
+              << " withdrawals, cold restart " << cold_m.counter(kWithdrawals)
               << " — GR must strictly reduce withdraw churn\n";
   }
-  if (graceful.announcements >= cold.announcements) {
+  if (graceful_m.counter(kAnnouncements) >= cold_m.counter(kAnnouncements)) {
     ok = false;
-    std::cerr << "FAIL: graceful restart sent " << graceful.announcements
-              << " announcements, cold restart " << cold.announcements
+    std::cerr << "FAIL: graceful restart sent " << graceful_m.counter(kAnnouncements)
+              << " announcements, cold restart " << cold_m.counter(kAnnouncements)
               << " — GR must strictly reduce re-announce churn\n";
   }
-  if (graceful.adopted_false > cold.adopted_false + 1e-9) {
+  if (graceful.point.mean_adopted_false > cold.point.mean_adopted_false + 1e-9) {
     ok = false;
     std::cerr << "FAIL: graceful restart worsened false adoption ("
-              << graceful.adopted_false << " vs cold " << cold.adopted_false << ")\n";
+              << graceful.point.mean_adopted_false << " vs cold "
+              << cold.point.mean_adopted_false << ")\n";
   }
   if (graceful.first_fault_log != cold.first_fault_log) {
     ok = false;
@@ -280,7 +280,7 @@ int main(int argc, char** argv) {
                  "must not depend on GR\n";
   }
   if (graceful.first_fault_log != graceful_rerun.first_fault_log ||
-      graceful.withdrawals != graceful_rerun.withdrawals) {
+      graceful_m != graceful_rerun.point.metrics) {
     ok = false;
     std::cerr << "FAIL: GR run is not deterministic for a fixed seed\n";
   }
@@ -303,21 +303,26 @@ int main(int argc, char** argv) {
 
   util::TablePrinter cache_table(
       {"resolver", "registry_queries", "cache_hits", "alarms_per_run", "adopting_false_pct"});
-  cache_table.add_row({"oracle", std::to_string(uncached.resolver_queries), "0",
-                       util::fmt_double(uncached.alarms, 1),
-                       util::fmt_double(uncached.adopted_false * 100.0, 2)});
-  cache_table.add_row({"oracle+cache", std::to_string(cached.resolver_queries),
-                       std::to_string(cached.cache_hits), util::fmt_double(cached.alarms, 1),
-                       util::fmt_double(cached.adopted_false * 100.0, 2)});
+  const std::uint64_t uncached_queries = uncached.point.metrics.counter("resolver.queries");
+  const std::uint64_t cached_queries = cached.point.metrics.counter("resolver.queries");
+  const std::uint64_t cache_hits = cached.point.metrics.counter("resolver.cache_hits") +
+                                   cached.point.metrics.counter("resolver.cache_negative_hits");
+  cache_table.add_row({"oracle", std::to_string(uncached_queries), "0",
+                       util::fmt_double(uncached.point.mean_alarms, 1),
+                       util::fmt_double(uncached.point.mean_adopted_false * 100.0, 2)});
+  cache_table.add_row({"oracle+cache", std::to_string(cached_queries),
+                       std::to_string(cache_hits), util::fmt_double(cached.point.mean_alarms, 1),
+                       util::fmt_double(cached.point.mean_adopted_false * 100.0, 2)});
   cache_table.print(std::cout);
 
-  if (cached.resolver_queries >= uncached.resolver_queries) {
+  if (cached_queries >= uncached_queries) {
     ok = false;
-    std::cerr << "FAIL: cache did not reduce registry load (" << cached.resolver_queries
-              << " vs " << uncached.resolver_queries << ")\n";
+    std::cerr << "FAIL: cache did not reduce registry load (" << cached_queries << " vs "
+              << uncached_queries << ")\n";
   }
-  if (cached.adopted_false != uncached.adopted_false || cached.alarms != uncached.alarms ||
-      cached.no_route != uncached.no_route) {
+  if (cached.point.mean_adopted_false != uncached.point.mean_adopted_false ||
+      cached.point.mean_alarms != uncached.point.mean_alarms ||
+      cached.point.mean_no_route != uncached.point.mean_no_route) {
     ok = false;
     std::cerr << "FAIL: resolver cache changed detection outcomes\n";
   }
@@ -349,61 +354,60 @@ int main(int argc, char** argv) {
   const Cell revised = run_error_cell(true);
   const Cell revised_rerun = run_error_cell(true);
 
-  std::cout << core::error_handling_table_from_metrics(
-      {{"rfc4271", legacy.metrics}, {"rfc7606", revised.metrics}});
+  print_error_handling_table({{"rfc4271", &legacy.point.metrics},
+                              {"rfc7606", &revised.point.metrics}});
 
   util::TablePrinter error_table({"error_handling", "session_resets", "routes_withdrawn",
                                   "wire_withdrawals", "adopting_false_pct", "violations"});
-  error_table.add_row({"rfc4271",
-                       std::to_string(legacy.error_handling.corrupt_session_resets),
-                       std::to_string(legacy.routes_withdrawn),
-                       std::to_string(legacy.withdrawals),
-                       util::fmt_double(legacy.adopted_false * 100.0, 2),
-                       std::to_string(legacy.violations)});
-  error_table.add_row({"rfc7606",
-                       std::to_string(revised.error_handling.corrupt_session_resets),
-                       std::to_string(revised.routes_withdrawn),
-                       std::to_string(revised.withdrawals),
-                       util::fmt_double(revised.adopted_false * 100.0, 2),
-                       std::to_string(revised.violations)});
+  for (const auto& [label, cell] :
+       {std::pair{"rfc4271", &legacy}, std::pair{"rfc7606", &revised}}) {
+    const obs::MetricsRegistry& m = cell->point.metrics;
+    error_table.add_row({label, std::to_string(m.counter(kSessionResets)),
+                         std::to_string(m.counter(kRoutesWithdrawn)),
+                         std::to_string(m.counter(kWithdrawals)),
+                         util::fmt_double(cell->point.mean_adopted_false * 100.0, 2),
+                         std::to_string(cell->violations)});
+  }
   error_table.print(std::cout);
 
+  const obs::MetricsRegistry& legacy_m = legacy.point.metrics;
+  const obs::MetricsRegistry& revised_m = revised.point.metrics;
   if (legacy.violations + revised.violations > 0) {
     ok = false;
     std::cerr << "FAIL: invariant violations in the error-handling comparison\n";
   }
-  if (legacy.error_handling.attr_corruptions == 0) {
+  if (legacy_m.counter("chaos.attr_corruptions_applied") == 0) {
     ok = false;
     std::cerr << "FAIL: corruption schedule landed no attribute corruptions — "
                  "the comparison is vacuous\n";
   }
-  if (revised.error_handling.corrupt_session_resets != 0) {
+  if (revised_m.counter(kSessionResets) != 0) {
     ok = false;
-    std::cerr << "FAIL: RFC 7606 arm reset " << revised.error_handling.corrupt_session_resets
+    std::cerr << "FAIL: RFC 7606 arm reset " << revised_m.counter(kSessionResets)
               << " sessions — attribute damage must never reset a session\n";
   }
-  if (revised.error_handling.corrupt_session_resets >=
-      legacy.error_handling.corrupt_session_resets) {
+  if (revised_m.counter(kSessionResets) >= legacy_m.counter(kSessionResets)) {
     ok = false;
     std::cerr << "FAIL: revised handling did not strictly reduce session resets ("
-              << revised.error_handling.corrupt_session_resets << " vs "
-              << legacy.error_handling.corrupt_session_resets << ")\n";
+              << revised_m.counter(kSessionResets) << " vs "
+              << legacy_m.counter(kSessionResets) << ")\n";
   }
   // The withdrawal gate counts receiver-side route loss, not wire messages:
   // a reset session sends *fewer* updates precisely because it is dead —
   // its damage is the implicit withdrawal of every Adj-RIB-In entry the
   // flush evicts, which routes_withdrawn captures and withdrawals_sent
   // cannot see.
-  if (revised.routes_withdrawn >= legacy.routes_withdrawn) {
+  if (revised_m.counter(kRoutesWithdrawn) >= legacy_m.counter(kRoutesWithdrawn)) {
     ok = false;
-    std::cerr << "FAIL: revised handling withdrew " << revised.routes_withdrawn
-              << " routes, strict 4271 " << legacy.routes_withdrawn
+    std::cerr << "FAIL: revised handling withdrew " << revised_m.counter(kRoutesWithdrawn)
+              << " routes, strict 4271 " << legacy_m.counter(kRoutesWithdrawn)
               << " — 7606 must strictly reduce withdrawn routes\n";
   }
-  if (revised.adopted_false > legacy.adopted_false + 1e-9) {
+  if (revised.point.mean_adopted_false > legacy.point.mean_adopted_false + 1e-9) {
     ok = false;
     std::cerr << "FAIL: revised handling worsened false adoption ("
-              << revised.adopted_false << " vs 4271 " << legacy.adopted_false << ")\n";
+              << revised.point.mean_adopted_false << " vs 4271 "
+              << legacy.point.mean_adopted_false << ")\n";
   }
   if (revised.first_fault_log != legacy.first_fault_log) {
     ok = false;
@@ -411,10 +415,7 @@ int main(int argc, char** argv) {
                  "replay must not depend on the receiver's handling\n";
   }
   if (revised.first_fault_log != revised_rerun.first_fault_log ||
-      revised.withdrawals != revised_rerun.withdrawals ||
-      revised.routes_withdrawn != revised_rerun.routes_withdrawn ||
-      revised.error_handling.treat_as_withdraws !=
-          revised_rerun.error_handling.treat_as_withdraws) {
+      revised_m != revised_rerun.point.metrics) {
     ok = false;
     std::cerr << "FAIL: RFC 7606 run is not deterministic for a fixed seed\n";
   }

@@ -126,10 +126,8 @@ class Router final : public RouterContext, private sim::EventSink {
   /// Withdraw a local origination.
   void withdraw_origination(const net::Prefix& prefix);
 
-  /// Entry point for updates arriving from a peer.
-  void handle_update(Asn from, const Update& update);
-  /// Move-through variant for the transport, which owns the delivered
-  /// update: the announced route moves into the Adj-RIB-In.
+  /// Entry point for updates arriving from a peer. The caller hands the
+  /// update over: the announced route moves into the Adj-RIB-In.
   void handle_update(Asn from, Update&& update);
 
   /// Import half of handle_update: runs loop detection, import policy,
@@ -138,11 +136,8 @@ class Router final : public RouterContext, private sim::EventSink {
   /// decide_prefix(update.prefix). The wave engine uses this to ingest a
   /// whole sweep batch before deciding once per touched prefix — the
   /// fixpoint is identical (the decision is a pure function of RIB state),
-  /// it just skips the intra-batch transient exports.
-  bool import_update(Asn from, const Update& update);
-  /// Move-through variant for callers that own the update (the wave
-  /// engine's drained slot entries): the announced route is moved into the
-  /// Adj-RIB-In instead of copied.
+  /// it just skips the intra-batch transient exports. Like handle_update,
+  /// it takes the update over (the wave engine's drained slot entries).
   bool import_update(Asn from, Update&& update);
 
   /// Run the decision process for `prefix` now (exports on best change).

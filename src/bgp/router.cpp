@@ -79,17 +79,9 @@ void Router::withdraw_origination(const net::Prefix& prefix) {
   decide(prefix);
 }
 
-void Router::handle_update(Asn from, const Update& update) {
-  if (import_update(from, update)) decide(update.prefix);
-}
-
 void Router::handle_update(Asn from, Update&& update) {
   const net::Prefix prefix = update.prefix;
   if (import_update(from, std::move(update))) decide(prefix);
-}
-
-bool Router::import_update(Asn from, const Update& update) {
-  return import_update(from, Update(update));
 }
 
 bool Router::import_update(Asn from, Update&& update) {

@@ -121,7 +121,7 @@ double account_alarms(RunResult& result, const AlarmLog& alarms, const AsnSet& a
   return first_alarm_at;
 }
 
-/// The tail of every run: outcome scoring, the scalar counters read back
+/// The tail of every run: outcome scoring, the two perfbench mirrors read
 /// out of the metrics registry, the structural cutoff and the converged-RIB
 /// snapshot.
 template <class Engine>
@@ -139,25 +139,15 @@ void finish_run(RunResult& result, Engine& engine, const ExperimentConfig& confi
   result.origin_set = origins;
   result.attacker_set = attackers;
 
-  // The registry is the source of truth: every scalar counter RunResult
-  // reports is read back out of it, so a drifting name or a missed collect
-  // shows up in the run results, not just in an exporter nobody looks at.
-  // The resolver names exist even for resolver-less runs, so manifest
-  // consumers can rely on them unconditionally.
+  // The registry is the only counter store; `messages` and
+  // `resolver_queries` are the two mirrors perfbench's runner reads. The
+  // resolver names exist even for resolver-less runs, so manifest consumers
+  // can rely on them unconditionally.
   obs::MetricsRegistry& m = result.metrics;
   m.count("resolver.queries", 0);
   m.count("resolver.cache_hits", 0);
-  result.rejections = static_cast<std::size_t>(m.counter("detector.rejections"));
   result.messages = m.counter("network.messages_sent");
-  result.withdrawals = m.counter("router.withdrawals_sent");
-  result.announcements = m.counter("router.announcements_sent");
-  result.stale_retained = m.counter("router.stale_retained");
-  result.stale_swept = m.counter("router.stale_swept");
-  result.routes_withdrawn = m.counter("router.routes_withdrawn");
-  result.error_withdraws = m.counter("router.error_withdraws");
   result.resolver_queries = m.counter("resolver.queries");
-  result.resolver_cache_hits =
-      m.counter("resolver.cache_hits") + m.counter("resolver.cache_negative_hits");
   if (!attackers.empty()) {
     result.structural_cutoff = topo::fraction_cut_off(graph, origins, attackers);
   }
@@ -404,17 +394,6 @@ RunResult Experiment::run(const EventRun& event, const bgp::AsnSet& origins,
 
   if (engine) {
     result.fault_events = engine->schedule().events.size();
-    const obs::MetricsRegistry& m = result.metrics;
-    result.message_faults =
-        m.counter("chaos.msgs_dropped") + m.counter("chaos.msgs_duplicated") +
-        m.counter("chaos.msgs_reordered") + m.counter("chaos.corruptions_detected") +
-        m.counter("chaos.corruptions_undetected") + m.counter("chaos.corruptions_harmless") +
-        m.counter("chaos.attr_corruptions_applied");
-    result.attr_corruptions = m.counter("chaos.attr_corruptions_applied");
-    result.corrupt_session_resets = m.counter("chaos.corrupt_session_resets");
-    result.treat_as_withdraws = m.counter("chaos.treat_as_withdraws");
-    result.attr_discards = m.counter("chaos.attr_discards");
-    result.poisoned_blocked = m.counter("chaos.poisoned_blocked");
     result.fault_log = engine->log_text();
   }
   if (event.check_invariants) {

@@ -204,37 +204,9 @@ struct RunResult {
   std::size_t alarms_pending = 0;
   std::size_t alarms_resolved = 0;
   std::size_t alarms_expired = 0;
-  std::size_t rejections = 0;    // detector vetoes across all routers
-  std::uint64_t messages = 0;
   bool quiesced = true;
-
-  /// Network-wide update-kind totals (summed Router stats): how much churn
-  /// the run actually put on the wire. Graceful restart shows up here as
-  /// strictly fewer withdrawals/announcements than a cold-restart run.
-  std::uint64_t withdrawals = 0;
-  std::uint64_t announcements = 0;
-  std::uint64_t stale_retained = 0;  // routes parked as stale at crashes
-  std::uint64_t stale_swept = 0;     // flushed by End-of-RIB or restart timer
-  /// Adj-RIB-In entries removed by explicit/error withdrawals, session
-  /// flushes, and stale sweeps — the receiver-side route loss `withdrawals`
-  /// (messages on the wire) cannot see when sessions are down.
-  std::uint64_t routes_withdrawn = 0;
-
-  /// RFC 7606 error-handling bookkeeping. `error_withdraws` counts routes
-  /// revoked by treat-as-withdraw across all routers; the rest come from the
-  /// chaos engine's scheduled attribute corruptions (zero without churn).
-  std::uint64_t error_withdraws = 0;
-  std::uint64_t attr_corruptions = 0;       // scheduled corruptions that landed
-  std::uint64_t corrupt_session_resets = 0; // RFC 4271 fate (reset)
-  std::uint64_t treat_as_withdraws = 0;     // RFC 7606 fate (degrade)
-  std::uint64_t attr_discards = 0;          // RFC 7606 fate (salvage)
-  std::uint64_t poisoned_blocked = 0;       // corrupted MOAS lists intercepted
-
-  /// Registry load: queries that actually reached the backend resolver
-  /// (behind the cache when resolver_cache_ttl > 0) and hits the cache
-  /// absorbed (0 without a cache).
-  std::uint64_t resolver_queries = 0;
-  std::uint64_t resolver_cache_hits = 0;
+  std::uint64_t messages = 0;          // network.messages_sent; perfbench/runner.cpp reads it
+  std::uint64_t resolver_queries = 0;  // resolver.queries; perfbench/runner.cpp reads it
 
   /// Graph-theoretic lower bound on residual damage under full detection:
   /// the fraction of non-attackers the attacker set cuts off from every
@@ -245,9 +217,8 @@ struct RunResult {
   bgp::AsnSet attacker_set;
 
   /// Churn bookkeeping (zero / empty without ExperimentConfig::churn).
-  std::size_t fault_events = 0;      // discrete faults replayed
-  std::uint64_t message_faults = 0;  // drops/dups/reorders/corruptions sampled
-  std::string fault_log;             // byte-identical for equal seeds
+  std::size_t fault_events = 0;  // discrete faults replayed
+  std::string fault_log;         // byte-identical for equal seeds
   /// Compiled registry-outage windows (empty without registry_outage);
   /// byte-identical for equal seeds — bench arms compare these to prove two
   /// configurations saw the same fault schedule.
@@ -276,9 +247,9 @@ struct RunResult {
   double propagation_seconds = 0.0;
 
   /// Per-run metrics snapshot: router.*/network.*/sim.* (always), chaos.*
-  /// (with churn), detector.*/resolver.* (with deployment). The scalar
-  /// counters above are read back out of this registry — it is the source
-  /// of truth, not a parallel bookkeeping path.
+  /// (with churn), detector.*/resolver.* (with deployment). It is the only
+  /// store of the run's counters; callers read them by name
+  /// (metrics.counter("router.withdrawals_sent")).
   obs::MetricsRegistry metrics;
   /// The raw event stream (only with EventRun::keep_trace).
   std::vector<obs::TraceEvent> trace;

@@ -1,43 +1,12 @@
 #include "moas/core/monitor.h"
 
 #include <map>
-#include <sstream>
+#include <utility>
 
 #include "moas/core/moas_list.h"
 #include "moas/util/assert.h"
-#include "moas/util/table.h"
 
 namespace moas::core {
-
-ErrorHandlingSummary ErrorHandlingSummary::from_metrics(
-    const obs::MetricsRegistry& registry) {
-  ErrorHandlingSummary summary;
-  summary.error_withdraws = registry.counter("router.error_withdraws");
-  summary.attr_corruptions = registry.counter("chaos.attr_corruptions_applied");
-  summary.treat_as_withdraws = registry.counter("chaos.treat_as_withdraws");
-  summary.attr_discards = registry.counter("chaos.attr_discards");
-  summary.corrupt_session_resets = registry.counter("chaos.corrupt_session_resets");
-  summary.poisoned_blocked = registry.counter("chaos.poisoned_blocked");
-  return summary;
-}
-
-std::string error_handling_table_from_metrics(
-    const std::vector<std::pair<std::string, obs::MetricsRegistry>>& rows) {
-  util::TablePrinter table({"arm", "corruptions", "treat-as-withdraw", "attr-discard",
-                            "resets-avoided", "session-resets", "error-withdraws",
-                            "poisoned-blocked"});
-  for (const auto& [label, registry] : rows) {
-    const ErrorHandlingSummary s = ErrorHandlingSummary::from_metrics(registry);
-    table.add_row({label, std::to_string(s.attr_corruptions),
-                   std::to_string(s.treat_as_withdraws), std::to_string(s.attr_discards),
-                   std::to_string(s.resets_avoided()),
-                   std::to_string(s.corrupt_session_resets),
-                   std::to_string(s.error_withdraws), std::to_string(s.poisoned_blocked)});
-  }
-  std::ostringstream os;
-  table.print(os);
-  return os.str();
-}
 
 MoasMonitor::MoasMonitor(std::vector<bgp::Asn> vantages) : vantages_(std::move(vantages)) {
   MOAS_REQUIRE(!vantages_.empty(), "monitor needs at least one vantage");

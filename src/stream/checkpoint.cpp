@@ -5,6 +5,7 @@
 #include <limits>
 #include <ostream>
 
+#include "moas/stream/update.h"
 #include "moas/util/assert.h"
 #include "moas/util/strings.h"
 
@@ -145,8 +146,7 @@ std::int64_t LineParser::i64() {
 
 int LineParser::day() {
   const std::int64_t value = i64();
-  MOAS_REQUIRE(value >= std::numeric_limits<int>::min() && value <= std::numeric_limits<int>::max(),
-               "checkpoint: day out of range");
+  MOAS_REQUIRE(value >= -1 && value <= kMaxDay, "checkpoint: day out of range");
   return static_cast<int>(value);
 }
 

@@ -27,7 +27,7 @@ void StreamDetector::ingest(StreamUpdate u) {
   ++consumed_;
   ++front_.delivered;
 
-  if (u.malformed) {
+  if (u.malformed || u.day < 0 || u.day > kMaxDay) {
     ++front_.malformed_rejected;
     return;
   }

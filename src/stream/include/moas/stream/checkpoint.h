@@ -82,7 +82,7 @@ class LineParser {
   /// A u64() that fits in 32 bits (AS numbers).
   std::uint32_t u32();
   std::int64_t i64();
-  /// An i64() that fits in an int (days are ints everywhere downstream).
+  /// An i64() in [-1, kMaxDay] (stream/update.h): a day or the -1 sentinel.
   int day();
   double f64();  // reads a double_bits() token
 

@@ -15,6 +15,13 @@
 
 namespace moas::stream {
 
+/// The last trace day the stream accepts. Ingest rejects days outside
+/// [0, kMaxDay] as malformed, and a checkpoint restores only days in
+/// [-1, kMaxDay] (-1 is the "nothing yet" sentinel), so every day
+/// arithmetic downstream (next open day, gap windows, end-of-feed time)
+/// stays far from int overflow. 2^24 days is ~46,000 years.
+inline constexpr int kMaxDay = 1 << 24;
+
 struct StreamUpdate {
   /// Feed sequence number, assigned by the source in emission order.
   /// Fault decisions and duplicate suppression key on it.

@@ -121,7 +121,7 @@ TEST(Experiment, FullDetectionBeatsNormalBgp) {
   EXPECT_GT(without.adopted_false_fraction(), 0.2);
   EXPECT_LT(with.adopted_false_fraction(), without.adopted_false_fraction() / 2.0);
   EXPECT_GT(with.alarms, 0u);
-  EXPECT_GT(with.rejections, 0u);
+  EXPECT_GT(with.metrics.counter("detector.rejections"), 0u);
 }
 
 TEST(Experiment, FullDetectionResidualIsStructuralCutoff) {
@@ -153,7 +153,7 @@ TEST(Experiment, NormalBgpRaisesNoAlarms) {
   util::Rng rng(9);
   const RunResult result = experiment.run_once(10, rng);
   EXPECT_EQ(result.alarms, 0u);
-  EXPECT_EQ(result.rejections, 0u);
+  EXPECT_EQ(result.metrics.counter("detector.rejections"), 0u);
 }
 
 TEST(Experiment, PartialDeploymentInBetween) {

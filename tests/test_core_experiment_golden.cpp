@@ -53,18 +53,29 @@ std::string hex_double(double value) {
 }
 
 std::string canonical(const RunResult& r) {
+  const obs::MetricsRegistry& m = r.metrics;
   std::string text;
   for (std::size_t n :
        {r.total_ases, r.attackers, r.population, r.adopted_false, r.adopted_valid, r.no_route,
         r.alarms, r.false_alarms, r.alarms_pending, r.alarms_resolved, r.alarms_expired,
-        r.rejections, r.fault_events, r.final_ribs.size()}) {
+        static_cast<std::size_t>(m.counter("detector.rejections")), r.fault_events,
+        r.final_ribs.size()}) {
     text += std::to_string(n) + ' ';
   }
+  const std::uint64_t message_faults =
+      m.counter("chaos.msgs_dropped") + m.counter("chaos.msgs_duplicated") +
+      m.counter("chaos.msgs_reordered") + m.counter("chaos.corruptions_detected") +
+      m.counter("chaos.corruptions_undetected") + m.counter("chaos.corruptions_harmless") +
+      m.counter("chaos.attr_corruptions_applied");
   for (std::uint64_t n :
-       {r.messages, r.withdrawals, r.announcements, r.stale_retained, r.stale_swept,
-        r.routes_withdrawn, r.error_withdraws, r.attr_corruptions, r.corrupt_session_resets,
-        r.treat_as_withdraws, r.attr_discards, r.poisoned_blocked, r.resolver_queries,
-        r.resolver_cache_hits, r.message_faults}) {
+       {r.messages, m.counter("router.withdrawals_sent"), m.counter("router.announcements_sent"),
+        m.counter("router.stale_retained"), m.counter("router.stale_swept"),
+        m.counter("router.routes_withdrawn"), m.counter("router.error_withdraws"),
+        m.counter("chaos.attr_corruptions_applied"), m.counter("chaos.corrupt_session_resets"),
+        m.counter("chaos.treat_as_withdraws"), m.counter("chaos.attr_discards"),
+        m.counter("chaos.poisoned_blocked"), r.resolver_queries,
+        m.counter("resolver.cache_hits") + m.counter("resolver.cache_negative_hits"),
+        message_faults}) {
     text += std::to_string(n) + ' ';
   }
   for (double x : {r.structural_cutoff, r.attack_injected_at, r.first_alarm_latency,

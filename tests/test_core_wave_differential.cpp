@@ -66,7 +66,8 @@ void expect_identical_outcome(const RunResult& event, const RunResult& wave) {
   EXPECT_EQ(event.adopted_false, wave.adopted_false);
   EXPECT_EQ(event.adopted_valid, wave.adopted_valid);
   EXPECT_EQ(event.no_route, wave.no_route);
-  EXPECT_EQ(event.rejections > 0, wave.rejections > 0);
+  EXPECT_EQ(event.metrics.counter("detector.rejections") > 0,
+            wave.metrics.counter("detector.rejections") > 0);
   ASSERT_EQ(event.final_ribs.size(), wave.final_ribs.size());
   for (std::size_t i = 0; i < event.final_ribs.size(); ++i) {
     ASSERT_EQ(event.final_ribs[i], wave.final_ribs[i])

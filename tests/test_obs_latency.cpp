@@ -77,12 +77,11 @@ TEST(ObsLatency, EvictionNeedsSummaryTracing) {
 TEST(ObsLatency, RunResultCountersComeFromTheRegistry) {
   const RunResult run = traced_run(traced_config(), /*attackers=*/2, /*seed=*/11);
   const obs::MetricsRegistry& m = run.metrics;
+  // The two mirrors RunResult keeps are copies of registry counters.
   EXPECT_EQ(run.messages, m.counter("network.messages_sent"));
-  EXPECT_EQ(run.withdrawals, m.counter("router.withdrawals_sent"));
-  EXPECT_EQ(run.announcements, m.counter("router.announcements_sent"));
-  EXPECT_EQ(run.error_withdraws, m.counter("router.error_withdraws"));
-  EXPECT_EQ(run.rejections, m.counter("detector.rejections"));
   EXPECT_EQ(run.resolver_queries, m.counter("resolver.queries"));
+  EXPECT_GT(m.counter("router.announcements_sent"), 0u);
+  EXPECT_GT(m.counter("detector.rejections"), 0u);
   EXPECT_GT(m.counter("router.decisions"), 0u);
   EXPECT_GT(m.counter("sim.events_executed"), 0u);
   EXPECT_EQ(m.gauge("network.routers"),

@@ -226,6 +226,11 @@ TEST(CheckpointFuzz, OutOfRangeFieldsAreRejected) {
   EXPECT_THROW(restore_with("front", 2, "4294967296"), std::invalid_argument);
   EXPECT_THROW(restore_with("state", 3, "2147483648"), std::invalid_argument);
   EXPECT_THROW(restore_with("state", 9, "-2147483649"), std::invalid_argument);
+  // In int range but past the stream's day range, whose arithmetic
+  // (last flushed day + 1) would overflow.
+  EXPECT_THROW(restore_with("front", 2, "2147483647"), std::invalid_argument);
+  EXPECT_THROW(restore_with("front", 2, std::to_string(kMaxDay + 1)), std::invalid_argument);
+  EXPECT_THROW(restore_with("front", 2, "-2"), std::invalid_argument);
   // ASNs past 32 bits used to restore truncated to a different ASN.
   EXPECT_THROW(restore_with("state", 11, "4294967296"), std::invalid_argument);
   EXPECT_NO_THROW(restore_with("state", 11, "4294967295"));

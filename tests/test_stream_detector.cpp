@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "moas/measure/observer.h"
@@ -189,6 +190,41 @@ TEST(StreamDetector, GarbledLinesAreRejectedNotCrashed) {
   EXPECT_GT(faulty.counters().garbled, 0u);
   EXPECT_EQ(detector.front_counters().malformed_rejected, faulty.counters().garbled);
   EXPECT_TRUE(detector.merged_alarms().empty());
+}
+
+TEST(StreamDetector, DaysOutsideTheStreamRangeAreRejectedAsMalformed) {
+  // An update dated INT_MAX used to be accepted; flush_all() then set the
+  // last flushed day to INT_MAX and finish() overflowed on day + 1.
+  std::uint64_t seq = 0;
+  const auto update = [&seq](int day) {
+    StreamUpdate u;
+    u.seq = seq++;
+    u.day = day;
+    u.at = static_cast<double>(day) + 0.5;
+    u.prefix = *net::Prefix::parse("10.0.0.0/8");
+    u.origins = {1};
+    return u;
+  };
+  StreamDetector detector(small_config());
+  for (const int day : {std::numeric_limits<int>::max(), std::numeric_limits<int>::min(), -1,
+                        kMaxDay + 1}) {
+    detector.ingest(update(day));
+  }
+  detector.flush_all();
+  EXPECT_EQ(detector.front_counters().malformed_rejected, 4u);
+  EXPECT_EQ(detector.last_flushed_day(), -1);
+
+  // The last valid day flushes, and a late update then rides in day
+  // kMaxDay + 1 without overflowing anything.
+  detector.ingest(update(kMaxDay));
+  detector.flush_all();
+  detector.ingest(update(0));
+  detector.flush_all();
+  detector.finish();
+  EXPECT_EQ(detector.front_counters().malformed_rejected, 4u);
+  EXPECT_EQ(detector.front_counters().late_updates, 1u);
+  EXPECT_EQ(detector.last_flushed_day(), kMaxDay + 1);
+  EXPECT_EQ(detector.metrics().counter("stream.updates_processed"), 2u);
 }
 
 TEST(StreamDetector, SheddingDegradesMeasurementNeverDetection) {
