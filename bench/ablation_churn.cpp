@@ -227,8 +227,7 @@ int main(int argc, char** argv) {
   const auto run_restart_cell = [&](bool graceful) {
     // The invariant audit includes the stale-route-hygiene family.
     const core::Experiment experiment(
-        graph, churn_config({.graceful_restart = graceful,
-                             .gr_restart_time = 30.0,
+        graph, churn_config({.graceful_restart = graceful ? std::optional(30.0) : std::nullopt,
                              .churn = crash_churn,
                              .check_invariants = true}));
     util::Rng rng(42);  // same workload draws for both restart modes

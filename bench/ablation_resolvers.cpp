@@ -1,7 +1,8 @@
 // Ablation — alarm resolution back-ends (Section 4.4 and related work):
-// the oracle (the simulation-section assumption), a DNS MOASRR service with
-// availability/forgery problems, the IRR registry with stale records, and
-// no resolver at all (alarm-only monitoring). The second section replays a
+// the oracle (the simulation-section assumption), a DNS MOASRR service that
+// is often unavailable, the IRR registry with stale records, and no resolver
+// at all (alarm-only monitoring). Forged DNS answers are not swept here; the
+// ExperimentGolden tests pin that path. The second section replays a
 // seeded registry-outage schedule against the asynchronous resolution path
 // and gates the fault-tolerance contract: no alarm lost, bounded settle
 // latency, hardened strictly better than naive fail-fast.
@@ -68,21 +69,20 @@ ArmResult run_arm(const topo::AsGraph& graph, core::ExperimentConfig config,
 /// windows plus latency spikes replayed against the resolution chain.
 core::ExperimentConfig outage_scenario(const core::AsyncResolver::Config& async,
                                        bool fallback_irr, bool with_outage) {
-  core::EventRun event{.async_resolution = async,
-                       .async_fallback_irr = fallback_irr,
-                       .trace_level = obs::TraceLevel::Summary};
+  core::AsyncResolution resolution{.resolver = async};
+  if (fallback_irr) resolution.fallback_irr = core::IrrBackend{};
   if (with_outage) {
     chaos::RegistryOutageConfig outage;
     outage.outages = 8.0;
     outage.outage_mean = 12.0;
     outage.spikes = 3.0;
     outage.spike_factor = 5.0;
-    event.registry_outage = outage;
+    resolution.outage = outage;
   }
   core::ExperimentConfig config;
-  config.engine = event;
-  config.resolver = core::ResolverKind::Dns;
-  config.dns_unavailability = 0.3;
+  config.engine = core::EventRun{.async_resolution = resolution,
+                                 .trace_level = obs::TraceLevel::Summary};
+  config.resolver = core::DnsBackend{.unavailability = 0.3};
   return config;
 }
 
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
 
   {
     core::ExperimentConfig config;
-    config.resolver = core::ResolverKind::Oracle;
+    config.resolver = core::OracleBackend{};
     const auto p = run(graph, config, jobs);
     table.add_row({"oracle (paper's assumption)",
                    util::fmt_double(p.mean_adopted_false * 100.0, 2),
@@ -123,8 +123,7 @@ int main(int argc, char** argv) {
   }
   for (double unavail : {0.25, 0.5, 0.9}) {
     core::ExperimentConfig config;
-    config.resolver = core::ResolverKind::Dns;
-    config.dns_unavailability = unavail;
+    config.resolver = core::DnsBackend{.unavailability = unavail};
     const auto p = run(graph, config, jobs);
     table.add_row({"dns, " + util::fmt_double(unavail * 100.0, 0) + "% unavailable",
                    util::fmt_double(p.mean_adopted_false * 100.0, 2),
@@ -133,8 +132,7 @@ int main(int argc, char** argv) {
   }
   for (double stale : {0.25, 0.75}) {
     core::ExperimentConfig config;
-    config.resolver = core::ResolverKind::Irr;
-    config.irr_staleness = stale;
+    config.resolver = core::IrrBackend{.staleness = stale};
     const auto p = run(graph, config, jobs);
     table.add_row({"irr, " + util::fmt_double(stale * 100.0, 0) + "% stale records",
                    util::fmt_double(p.mean_adopted_false * 100.0, 2),
@@ -143,7 +141,7 @@ int main(int argc, char** argv) {
   }
   {
     core::ExperimentConfig config;
-    config.resolver = core::ResolverKind::None;
+    config.resolver = core::AlarmOnly{};
     const auto p = run(graph, config, jobs);
     table.add_row({"none (alarm-only monitoring)",
                    util::fmt_double(p.mean_adopted_false * 100.0, 2),

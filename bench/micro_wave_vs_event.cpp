@@ -58,7 +58,7 @@ int main() {
   // with the hijacker that is three origins racing for the same prefix.
   event_config.num_origins = 2;
   event_config.deployment = core::Deployment::Full;
-  event_config.resolver = core::ResolverKind::Oracle;
+  event_config.resolver = core::OracleBackend{};
   // Route-age tie preference is the one knob the timeless wave engine
   // cannot express; turn it off on the event arm too so the outcomes are
   // comparable with operator== (DESIGN.md §10).

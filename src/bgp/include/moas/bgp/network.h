@@ -19,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -47,12 +48,11 @@ class Network final : private sim::EventSink {
     /// and tap-triggered resets).
     double session_reestablish_delay = 1.0;
     /// RFC 4724 graceful restart, negotiated network-wide: router crashes
-    /// leave peers' learned routes in use (marked stale) for up to
-    /// `gr_restart_time` seconds, and session establishment ends with an
-    /// End-of-RIB marker that sweeps stale leftovers. Off models the cold
-    /// restart (crash flushes every peer immediately).
-    bool graceful_restart = false;
-    double gr_restart_time = 60.0;
+    /// leave peers' learned routes in use (marked stale) for up to this many
+    /// seconds (positive), and session establishment ends with an
+    /// End-of-RIB marker that sweeps stale leftovers. nullopt models the
+    /// cold restart (crash flushes every peer immediately).
+    std::optional<sim::Time> graceful_restart{};
     /// RFC 7606 revised UPDATE error handling, network-wide: a damaged
     /// announcement is treated as a withdrawal of its prefixes (or loses a
     /// non-essential attribute) instead of resetting the session. The

@@ -15,7 +15,7 @@ Network::Network(Config config) : config_(config), rng_(config.seed) {
   MOAS_REQUIRE(config_.jitter >= 0.0, "jitter must be non-negative");
   MOAS_REQUIRE(config_.session_reestablish_delay > 0.0,
                "session re-establishment delay must be positive");
-  MOAS_REQUIRE(!config_.graceful_restart || config_.gr_restart_time > 0.0,
+  MOAS_REQUIRE(!config_.graceful_restart || *config_.graceful_restart > 0.0,
                "graceful restart needs a positive restart time");
 }
 
@@ -28,7 +28,7 @@ Router& Network::add_router(Asn asn) {
       [this, sender](Asn, Asn to, Update update) { deliver(*sender, to, std::move(update)); },
       &clock_);
   Router& ref = *sender->router;
-  if (config_.graceful_restart) ref.set_graceful_restart(config_.gr_restart_time);
+  if (config_.graceful_restart) ref.set_graceful_restart(*config_.graceful_restart);
   ref.set_trace(trace_);
   return ref;
 }

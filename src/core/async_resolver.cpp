@@ -11,6 +11,8 @@ namespace moas::core {
 
 namespace {
 
+constexpr std::size_t kStaleCacheMax = 1 << 12;  // stale answers kept per resolver
+
 /// Exponential draw with the given mean, floored away from zero so a lookup
 /// always takes observable time (same idiom as the chaos schedules).
 double exponential(util::Rng& rng, double mean) {
@@ -43,22 +45,16 @@ AsyncResolver::AsyncResolver(sim::EventQueue& clock, Config config)
     : clock_(clock), config_(config), rng_(config.seed) {
   MOAS_REQUIRE(config_.request_deadline > 0.0, "request deadline must be positive");
   MOAS_REQUIRE(config_.quorum >= 1, "quorum must be at least one source");
+  MOAS_REQUIRE(config_.source.latency_mean > 0.0 && config_.source.timeout > 0.0,
+               "source latency/timeout must be positive");
+  MOAS_REQUIRE(config_.source.max_attempts >= 1, "a source gets at least one attempt");
 }
 
 std::size_t AsyncResolver::add_source(std::shared_ptr<OriginResolver> backend) {
-  return add_source(std::move(backend), config_.source);
-}
-
-std::size_t AsyncResolver::add_source(std::shared_ptr<OriginResolver> backend,
-                                      SourceConfig config) {
   MOAS_REQUIRE(backend != nullptr, "fallback chain entries must be non-null");
-  MOAS_REQUIRE(config.latency_mean > 0.0 && config.timeout > 0.0,
-               "source latency/timeout must be positive");
-  MOAS_REQUIRE(config.max_attempts >= 1, "a source gets at least one attempt");
   Source source;
   source.name = backend->name();
   source.backend = std::move(backend);
-  source.config = config;
   sources_.push_back(std::move(source));
   return sources_.size() - 1;
 }
@@ -144,7 +140,7 @@ void AsyncResolver::start_attempt(std::uint64_t id) {
   trace_event(obs::EventKind::ResolverRequest, request, source.name,
               static_cast<std::int64_t>(request.attempt + 1));
 
-  double latency = exponential(rng_, source.config.latency_mean);
+  double latency = exponential(rng_, config_.source.latency_mean);
   bool lost = false;
   if (outage_ != nullptr) {
     latency *= outage_->latency_factor(now);
@@ -152,11 +148,11 @@ void AsyncResolver::start_attempt(std::uint64_t id) {
   }
   const std::uint64_t epoch = ++request.epoch;
 
-  if (lost || latency > source.config.timeout) {
+  if (lost || latency > config_.source.timeout) {
     if (lost) ++counters_.outage_drops;
     // The answer never arrives (outage) or arrives too late (slow lookup):
     // either way the caller sees a timeout after the full per-attempt wait.
-    clock_.schedule_after(source.config.timeout, [this, id, epoch] {
+    clock_.schedule_after(config_.source.timeout, [this, id, epoch] {
       auto it = requests_.find(id);
       if (it == requests_.end() || it->second.epoch != epoch) return;
       ++counters_.timeouts;
@@ -182,7 +178,7 @@ void AsyncResolver::start_attempt(std::uint64_t id) {
 
 void AsyncResolver::trip_breaker(Source& source) {
   source.breaker = BreakerState::Open;
-  source.open_until = clock_.now() + source.config.breaker_cooldown;
+  source.open_until = clock_.now() + config_.source.breaker_cooldown;
   ++counters_.breaker_trips;
 }
 
@@ -194,7 +190,8 @@ void AsyncResolver::note_success(Source& source) {
   }
 }
 
-double AsyncResolver::backoff_delay(const SourceConfig& config, std::size_t attempt) {
+double AsyncResolver::backoff_delay(std::size_t attempt) {
+  const SourceConfig& config = config_.source;
   double delay = config.backoff_base;
   for (std::size_t i = 0; i < attempt && delay < config.backoff_cap; ++i) {
     delay *= config.backoff_factor;
@@ -215,16 +212,16 @@ void AsyncResolver::attempt_failed(std::uint64_t id, Request& request) {
     trip_breaker(source);
     trace_event(obs::EventKind::ResolverBreaker, request, source.name + ":open");
     tripped = true;
-  } else if (source.config.breaker_threshold > 0 &&
-             source.consecutive_failures >= source.config.breaker_threshold &&
+  } else if (config_.source.breaker_threshold > 0 &&
+             source.consecutive_failures >= config_.source.breaker_threshold &&
              source.breaker == BreakerState::Closed) {
     trip_breaker(source);
     trace_event(obs::EventKind::ResolverBreaker, request, source.name + ":open");
     tripped = true;
   }
 
-  const double backoff = backoff_delay(source.config, request.attempt);
-  const bool attempts_left = request.attempt + 1 < source.config.max_attempts;
+  const double backoff = backoff_delay(request.attempt);
+  const bool attempts_left = request.attempt + 1 < config_.source.max_attempts;
   const bool budget_left = clock_.now() + backoff < request.deadline;
   if (!tripped && attempts_left && budget_left) {
     ++request.attempt;
@@ -334,7 +331,7 @@ void AsyncResolver::complete(std::uint64_t id, Outcome outcome) {
     (void)entry;
     if (inserted) {
       stale_order_.push_back(request.prefix);
-      if (config_.stale_cache_max > 0 && stale_cache_.size() > config_.stale_cache_max) {
+      if (stale_cache_.size() > kStaleCacheMax) {
         stale_cache_.erase(stale_order_.front());
         stale_order_.erase(stale_order_.begin());
       }

@@ -32,38 +32,38 @@ std::shared_ptr<PrefixOriginDb> ground_truth(const net::Prefix& victim,
   return truth;
 }
 
-/// An IRR mirror whose stale records answer config.irr_stale_origins.
-std::shared_ptr<OriginResolver> make_irr(const ExperimentConfig& config,
+/// An IRR mirror whose stale records answer `irr.stale_origins`.
+std::shared_ptr<OriginResolver> make_irr(const IrrBackend& irr,
                                          const std::shared_ptr<PrefixOriginDb>& truth,
                                          const net::Prefix& victim, util::Rng& rng) {
   auto stale = std::make_shared<PrefixOriginDb>();
-  if (!config.irr_stale_origins.empty()) stale->set(victim, config.irr_stale_origins);
-  IrrResolver::Config irr;
-  irr.staleness = config.irr_staleness;
-  irr.seed = rng.next();
-  return std::make_shared<IrrResolver>(truth, stale, irr);
+  if (!irr.stale_origins.empty()) stale->set(victim, irr.stale_origins);
+  IrrResolver::Config config;
+  config.staleness = irr.staleness;
+  config.seed = rng.next();
+  return std::make_shared<IrrResolver>(truth, stale, config);
 }
 
 /// The registry the detectors query (null: alarm-only detectors). Dns and
 /// Irr draw their seed from the run rng, the same draw on either engine.
-std::shared_ptr<OriginResolver> make_resolver(const ExperimentConfig& config,
+std::shared_ptr<OriginResolver> make_resolver(const ResolverBackend& backend,
                                               const std::shared_ptr<PrefixOriginDb>& truth,
                                               const net::Prefix& victim,
                                               const AsnSet& attackers, util::Rng& rng) {
-  switch (config.resolver) {
-    case ResolverKind::Oracle: return std::make_shared<OracleResolver>(truth);
-    case ResolverKind::Dns: {
-      DnsResolver::Config dns;
-      dns.unavailability = config.dns_unavailability;
-      dns.forgery = config.dns_forgery;
-      if (!attackers.empty()) dns.forged_answer = attackers;
-      dns.seed = rng.next();
-      return std::make_shared<DnsResolver>(truth, dns);
-    }
-    case ResolverKind::Irr: return make_irr(config, truth, victim, rng);
-    case ResolverKind::None: return nullptr;
+  if (std::holds_alternative<OracleBackend>(backend)) {
+    return std::make_shared<OracleResolver>(truth);
   }
-  return nullptr;
+  if (const auto* irr = std::get_if<IrrBackend>(&backend)) {
+    return make_irr(*irr, truth, victim, rng);
+  }
+  const auto* spec = std::get_if<DnsBackend>(&backend);
+  if (spec == nullptr) return nullptr;  // AlarmOnly
+  DnsResolver::Config dns;
+  dns.unavailability = spec->unavailability;
+  dns.forgery = spec->forgery;
+  if (!attackers.empty()) dns.forged_answer = attackers;
+  dns.seed = rng.next();
+  return std::make_shared<DnsResolver>(truth, dns);
 }
 
 /// Churn-aware resolver cache (ExperimentConfig::resolver_cache_ttl > 0):
@@ -184,16 +184,11 @@ Experiment::Experiment(const topo::AsGraph& graph, ExperimentConfig config)
   MOAS_REQUIRE(config.strip_fraction >= 0.0 && config.strip_fraction <= 1.0,
                "strip fraction must be a probability");
   MOAS_REQUIRE(config.resolver_cache_ttl >= 0.0, "resolver cache TTL must be non-negative");
-  // The event fields' consistency among themselves; a WaveRun has none.
   if (const auto* event = std::get_if<EventRun>(&config.engine)) {
-    MOAS_REQUIRE(!event->graceful_restart || event->gr_restart_time > 0.0,
+    MOAS_REQUIRE(!event->graceful_restart || *event->graceful_restart > 0.0,
                  "graceful restart needs a positive restart time");
-    MOAS_REQUIRE(!event->async_fallback_irr || event->async_resolution.has_value(),
-                 "the IRR fallback source needs async_resolution");
-    MOAS_REQUIRE(!event->registry_outage.has_value() || event->async_resolution.has_value(),
-                 "registry outages act on the async resolution path");
-    MOAS_REQUIRE(!event->async_resolution.has_value() || config.resolver != ResolverKind::None,
-                 "async resolution needs a backend resolver");
+    MOAS_REQUIRE(!event->async_resolution || !std::holds_alternative<AlarmOnly>(config.resolver),
+                 "async resolution needs a registry backend");
   }
 }
 
@@ -246,14 +241,13 @@ RunResult Experiment::run(const EventRun& event, const bgp::AsnSet& origins,
   const net::Prefix victim = topo::prefix_for_asn(*origins.begin());
   const auto truth = ground_truth(victim, origins);
   std::shared_ptr<OriginResolver> resolver =
-      make_resolver(config_, truth, victim, attackers, rng);
+      make_resolver(config_.resolver, truth, victim, attackers, rng);
 
   bgp::Network::Config net_config;
   net_config.mode = config_.policy;
   net_config.link_delay = kLinkDelay;
   net_config.jitter = kJitter;
   net_config.graceful_restart = event.graceful_restart;
-  net_config.gr_restart_time = event.gr_restart_time;
   net_config.revised_error_handling = event.revised_error_handling;
   net_config.seed = rng.next();
   bgp::Network network(net_config);
@@ -281,14 +275,15 @@ RunResult Experiment::run(const EventRun& event, const bgp::AsnSet& origins,
   // Declared after `network` so in-flight requests die before the clock.
   std::shared_ptr<AsyncResolver> async;
   std::shared_ptr<chaos::RegistryOutageSchedule> outage_schedule;
-  if (event.async_resolution && resolver) {
-    AsyncResolver::Config async_config = *event.async_resolution;
+  if (event.async_resolution) {
+    const AsyncResolution& spec = *event.async_resolution;
+    AsyncResolver::Config async_config = spec.resolver;
     async_config.seed ^= rng.next();  // one run seed reproduces latency draws
     async = std::make_shared<AsyncResolver>(network.clock(), async_config);
     async->add_source(resolver);
-    if (event.async_fallback_irr) async->add_source(make_irr(config_, truth, victim, rng));
-    if (event.registry_outage) {
-      chaos::RegistryOutageConfig outage = *event.registry_outage;
+    if (spec.fallback_irr) async->add_source(make_irr(*spec.fallback_irr, truth, victim, rng));
+    if (spec.outage) {
+      chaos::RegistryOutageConfig outage = *spec.outage;
       outage.seed ^= seed;  // same mixing rule as churn
       outage_schedule = std::make_shared<chaos::RegistryOutageSchedule>(
           chaos::compile_registry_outages(outage, async->source_count()));
@@ -462,7 +457,7 @@ RunResult Experiment::run(const WaveRun& /*wave*/, const bgp::AsnSet& origins,
   util::Rng rng(seed);
   const net::Prefix victim = topo::prefix_for_asn(*origins.begin());
   std::shared_ptr<OriginResolver> resolver =
-      make_resolver(config_, ground_truth(victim, origins), victim, attackers, rng);
+      make_resolver(config_.resolver, ground_truth(victim, origins), victim, attackers, rng);
 
   // The event run draws its network seed here; burn the same draw so the
   // deployment and stripping samples below land on the same stream offsets

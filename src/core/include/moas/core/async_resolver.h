@@ -50,8 +50,9 @@ inline constexpr obs::HistogramSpec kResolverLatencySpec{0.0, 0.25, 120};
 
 class AsyncResolver {
  public:
-  /// Per-source knobs. The defaults model a healthy anycast registry:
-  /// ~150 ms lookups, 1 s timeout, three attempts with 0.5/1/2 s backoff.
+  /// Knobs every source of the chain shares. The defaults model a healthy
+  /// anycast registry: ~150 ms lookups, 1 s timeout, three attempts with
+  /// 0.5/1/2 s backoff.
   struct SourceConfig {
     double latency_mean = 0.15;  // exponential lookup latency (seconds)
     double timeout = 1.0;        // per-attempt deadline
@@ -67,19 +68,18 @@ class AsyncResolver {
   };
 
   struct Config {
-    SourceConfig source;  // defaults for add_source() without explicit knobs
+    SourceConfig source;  // every source's knobs
     /// Absolute per-request budget: a request that has not resolved within
     /// this many seconds of its creation expires (fate Expired).
     double request_deadline = 20.0;
     /// Distinct sources that must agree on an answer before it is accepted.
     /// 1 = first successful source wins (the plain fallback chain).
     std::size_t quorum = 1;
-    /// Keep the last resolved answer per prefix and serve it — explicitly
-    /// marked stale — when no live source produced any answer at all.
-    /// Conflicting live answers still surface as QuorumConflict; the stale
-    /// store never outvotes live disagreement.
+    /// Keep the last resolved answer per prefix (bounded, FIFO eviction) and
+    /// serve it — explicitly marked stale — when no live source produced any
+    /// answer at all. Conflicting live answers still surface as
+    /// QuorumConflict; the stale store never outvotes live disagreement.
     bool stale_cache = true;
-    std::size_t stale_cache_max = 1 << 12;  // bounded, FIFO eviction
     std::uint64_t seed = 17;
   };
 
@@ -109,7 +109,6 @@ class AsyncResolver {
   /// Append a backend to the fallback chain (first added = first tried).
   /// Returns the source index.
   std::size_t add_source(std::shared_ptr<OriginResolver> backend);
-  std::size_t add_source(std::shared_ptr<OriginResolver> backend, SourceConfig config);
   std::size_t source_count() const { return sources_.size(); }
 
   /// Attach the seeded outage/latency-spike schedule (may be null). The
@@ -139,7 +138,6 @@ class AsyncResolver {
  private:
   struct Source {
     std::shared_ptr<OriginResolver> backend;
-    SourceConfig config;
     std::string name;
     std::size_t consecutive_failures = 0;
     BreakerState breaker = BreakerState::Closed;
@@ -171,7 +169,7 @@ class AsyncResolver {
   void complete(std::uint64_t id, Outcome outcome);
   void trip_breaker(Source& source);
   void note_success(Source& source);
-  double backoff_delay(const SourceConfig& config, std::size_t attempt);
+  double backoff_delay(std::size_t attempt);
   void trace_event(obs::EventKind kind, const Request& request, const std::string& note,
                    std::int64_t value = 0);
 

@@ -50,7 +50,32 @@ enum class Deployment : std::uint8_t { None, Partial, Full };
 
 const char* to_string(Deployment deployment);
 
-enum class ResolverKind : std::uint8_t { Oracle, Dns, Irr, None };
+/// Section 4.4's conflict check: the registry a capable router asks which
+/// origin of a MOAS conflict is valid. Each backend carries its own knobs.
+struct OracleBackend {};  // ground truth: the Section 5 assumption
+struct DnsBackend {       // a MOASRR service that may be down or forged
+  double unavailability = 0.0;
+  double forgery = 0.0;  // forged answers name the run's attackers
+};
+struct IrrBackend {       // an IRR mirror whose stale records mislead
+  double staleness = 0.0;
+  bgp::AsnSet stale_origins{};  // what a stale record answers (empty: none)
+};
+struct AlarmOnly {};  // no registry: alarms are raised but never resolved
+using ResolverBackend = std::variant<OracleBackend, DnsBackend, IrrBackend, AlarmOnly>;
+
+/// Asynchronous fault-tolerant resolution: conflict investigation goes
+/// through a clock-driven AsyncResolver (timeouts, retry/backoff, circuit
+/// breaker, fallback chain, stale cache) built around the run's backend, and
+/// detectors run the degraded-mode alarm lifecycle (Pending alarms that
+/// later Resolve or Expire) instead of blocking on the synchronous resolver.
+struct AsyncResolution {
+  AsyncResolver::Config resolver{};  // seed mixed with the run seed
+  std::optional<IrrBackend> fallback_irr{};  // a second source behind the backend
+  /// Seeded registry outage windows and latency spikes replayed against the
+  /// sources. The seed is XOR-mixed with the run seed, like churn.
+  std::optional<chaos::RegistryOutageConfig> outage{};
+};
 
 /// Where attackers may be placed.
 enum class AttackerPlacement : std::uint8_t { Anywhere, StubsOnly, TransitOnly };
@@ -74,28 +99,16 @@ struct EventRun {
   /// engine, which always breaks ties by lowest neighbor ASN (DESIGN.md §10).
   bool prefer_established = true;
 
-  /// Asynchronous fault-tolerant resolution. When set, conflict
-  /// investigation goes through a clock-driven AsyncResolver (timeouts,
-  /// retry/backoff, circuit breaker, fallback chain, stale-cache) built
-  /// around the configured backend, and detectors run the degraded-mode
-  /// alarm lifecycle (Pending alarms that later Resolve or Expire) instead
-  /// of blocking on the synchronous resolver. The async seed is mixed with
-  /// the run seed, so one run seed reproduces the latency draws too.
-  std::optional<AsyncResolver::Config> async_resolution{};
-  /// Add an IRR source (knobbed by irr_staleness / irr_stale_origins) behind
-  /// the primary backend in the fallback chain. Only with async_resolution.
-  bool async_fallback_irr = false;
-  /// Seeded registry outage windows and latency spikes replayed against the
-  /// async sources. The seed is XOR-mixed with the run seed, like churn.
-  /// Only meaningful with async_resolution.
-  std::optional<chaos::RegistryOutageConfig> registry_outage{};
+  /// Asynchronous resolution around ExperimentConfig::resolver; nullopt
+  /// keeps the synchronous check. Not with the AlarmOnly backend.
+  std::optional<AsyncResolution> async_resolution{};
 
-  /// RFC 4724 graceful restart, negotiated network-wide. Router crashes
-  /// then leave peers' learned routes in use (marked stale) until the
-  /// restart timer or the restarted router's End-of-RIB — instead of the
-  /// cold flush + withdraw cascade that makes a crash look like churn.
-  bool graceful_restart = false;
-  double gr_restart_time = 60.0;
+  /// RFC 4724 graceful restart, negotiated network-wide, with this (positive)
+  /// restart time in seconds. Router crashes then leave peers' learned
+  /// routes in use (marked stale) until the restart timer or the restarted
+  /// router's End-of-RIB — instead of the cold flush + withdraw cascade that
+  /// makes a crash look like churn. nullopt = cold restarts.
+  std::optional<sim::Time> graceful_restart{};
 
   /// RFC 7606 revised UPDATE error handling, network-wide. Attribute-level
   /// damage degrades to treat-as-withdraw or attribute-discard instead of a
@@ -146,11 +159,7 @@ struct ExperimentConfig {
   bgp::PolicyMode policy = bgp::PolicyMode::ShortestPath;
   double strip_fraction = 0.0;  // routers that drop communities on export
 
-  ResolverKind resolver = ResolverKind::Oracle;
-  double dns_unavailability = 0.0;  // when resolver == Dns
-  double dns_forgery = 0.0;
-  double irr_staleness = 0.0;  // when resolver == Irr
-  bgp::AsnSet irr_stale_origins;  // what a stale IRR record answers
+  ResolverBackend resolver;  // default: the oracle
 
   /// Wrap the resolver in a CachingResolver with this TTL (seconds); 0
   /// disables. Under churn the same prefix alarms repeatedly, and without a

@@ -302,8 +302,7 @@ TEST(Failure, GracefulRestartStaleRoutesFeedColdRebuild) {
   // resolution purges it (stale mark included), and the attacker stays
   // banned when it comes back and replays.
   Network::Config config;
-  config.graceful_restart = true;
-  config.gr_restart_time = 60.0;
+  config.graceful_restart = 60.0;
   Network network(config);
   for (Asn asn : {1u, 4u, 52u}) network.add_router(asn);
   network.connect(1, 4);

@@ -24,8 +24,7 @@ void expect_invariants(const Network& network) {
 
 Network::Config gr_config(double restart_time = 60.0) {
   Network::Config config;
-  config.graceful_restart = true;
-  config.gr_restart_time = restart_time;
+  config.graceful_restart = restart_time;
   return config;
 }
 
@@ -219,8 +218,7 @@ TEST(GracefulRestart, StrictlyLessChurnThanColdRestart) {
   // re-announcements with GR than without.
   const auto run_cycle = [](bool graceful) {
     Network::Config config;
-    config.graceful_restart = graceful;
-    config.gr_restart_time = 60.0;
+    if (graceful) config.graceful_restart = 60.0;
     Network network(config);
     for (Asn asn : {1u, 2u, 3u, 4u}) network.add_router(asn);
     network.connect(1, 2);
@@ -286,8 +284,7 @@ TEST(GracefulRestart, StaleHygieneInvariantCatchesLeftovers) {
 
 TEST(GracefulRestart, NetworkConfigValidated) {
   Network::Config config;
-  config.graceful_restart = true;
-  config.gr_restart_time = 0.0;
+  config.graceful_restart = 0.0;
   EXPECT_THROW(Network{config}, std::invalid_argument);
 }
 

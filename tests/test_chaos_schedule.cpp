@@ -55,10 +55,15 @@ TEST(ChaosSchedule, EventsAreSortedAndInsideHorizon) {
 TEST(ChaosSchedule, DownUpAndCrashRestartAlternateAndClose) {
   // Per link: link-down and link-up strictly alternate, starting with down
   // and ending with up (everything recovers inside the horizon). Same for
-  // crash/restart per router.
-  const FaultSchedule schedule = compile_schedule(busy_config(13), test_links(), test_asns());
+  // crash/restart per router. Attribute corruptions point one way along
+  // an existing link.
+  ScheduleConfig config = busy_config(13);
+  config.attr_corruptions_per_link = 1.0;
+  const auto links = test_links();
+  const FaultSchedule schedule = compile_schedule(config, links, test_asns());
   std::map<std::pair<bgp::Asn, bgp::Asn>, int> link_depth;
   std::map<bgp::Asn, int> crash_depth;
+  std::size_t corruptions = 0;
   for (const FaultEvent& event : schedule.events) {
     int& depth = link_depth[std::make_pair(event.a, event.b)];
     switch (event.kind) {
@@ -80,8 +85,17 @@ TEST(ChaosSchedule, DownUpAndCrashRestartAlternateAndClose) {
         break;
       case FaultKind::SessionReset:
         break;  // self-recovering; no pairing to track
+      case FaultKind::AttrCorrupt: {
+        const auto is_link = [&](bgp::Asn x, bgp::Asn y) {
+          return std::find(links.begin(), links.end(), std::make_pair(x, y)) != links.end();
+        };
+        EXPECT_TRUE(is_link(event.a, event.b) || is_link(event.b, event.a)) << event.to_string();
+        ++corruptions;
+        break;
+      }
     }
   }
+  EXPECT_GT(corruptions, 0u);
   for (const auto& [link, depth] : link_depth) EXPECT_EQ(depth, 0);
   for (const auto& [asn, depth] : crash_depth) EXPECT_EQ(depth, 0);
 }

@@ -62,8 +62,9 @@ struct Harness {
   std::vector<AsyncResolver::Outcome> outcomes;
 
   AsyncResolver make(AsyncResolver::Config config, AsyncResolver::SourceConfig source) {
+    config.source = source;
     AsyncResolver resolver(clock, config);
-    resolver.add_source(backend, source);
+    resolver.add_source(backend);
     return resolver;
   }
   AsyncResolver::Callback collect() {
@@ -221,11 +222,11 @@ TEST(AsyncResolver, HalfOpenAdmitsSingleCanaryProbe) {
   source.max_attempts = 1;
   source.breaker_threshold = 1;
   source.breaker_cooldown = 5.0;
-  AsyncResolver resolver(h.clock, {});
-  resolver.add_source(h.backend, source);
+  AsyncResolver resolver(h.clock, {.source = source});
+  resolver.add_source(h.backend);
   auto irr = std::make_shared<ScriptedResolver>("irr");
   irr->answer = bgp::AsnSet{1};
-  resolver.add_source(irr, source);
+  resolver.add_source(irr);
 
   resolver.request(kPrefix, h.collect());  // dns fails, breaker trips, irr answers
   h.clock.run();
@@ -254,11 +255,11 @@ TEST(AsyncResolver, FallsBackToSecondSource) {
   auto source = fast_source();
   source.max_attempts = 1;
   source.breaker_threshold = 0;
-  AsyncResolver clock_resolver(h.clock, {});
-  clock_resolver.add_source(h.backend, source);
+  AsyncResolver clock_resolver(h.clock, {.source = source});
+  clock_resolver.add_source(h.backend);
   auto irr = std::make_shared<ScriptedResolver>("irr");
   irr->answer = bgp::AsnSet{1};
-  clock_resolver.add_source(irr, source);
+  clock_resolver.add_source(irr);
 
   clock_resolver.request(kPrefix, h.collect());
   h.clock.run();
@@ -275,9 +276,10 @@ TEST(AsyncResolver, QuorumAgreementResolves) {
   irr->answer = bgp::AsnSet{1};
   AsyncResolver::Config config;
   config.quorum = 2;
+  config.source = fast_source();
   AsyncResolver resolver(h.clock, config);
-  resolver.add_source(h.backend, fast_source());
-  resolver.add_source(irr, fast_source());
+  resolver.add_source(h.backend);
+  resolver.add_source(irr);
 
   resolver.request(kPrefix, h.collect());
   h.clock.run();
@@ -295,9 +297,10 @@ TEST(AsyncResolver, QuorumConflictWhenSourcesDisagree) {
   AsyncResolver::Config config;
   config.quorum = 2;
   config.stale_cache = false;
+  config.source = fast_source();
   AsyncResolver resolver(h.clock, config);
-  resolver.add_source(h.backend, fast_source());
-  resolver.add_source(irr, fast_source());
+  resolver.add_source(h.backend);
+  resolver.add_source(irr);
 
   resolver.request(kPrefix, h.collect());
   h.clock.run();
@@ -315,9 +318,10 @@ TEST(AsyncResolver, QuorumConflictNotMaskedByStaleCache) {
   irr->answer = bgp::AsnSet{1};
   AsyncResolver::Config config;
   config.quorum = 2;  // stale cache stays enabled
+  config.source = fast_source();
   AsyncResolver resolver(h.clock, config);
-  resolver.add_source(h.backend, fast_source());
-  resolver.add_source(irr, fast_source());
+  resolver.add_source(h.backend);
+  resolver.add_source(irr);
 
   resolver.request(kPrefix, h.collect());  // agreement: deposits a stale answer
   h.clock.run();
@@ -447,6 +451,9 @@ TEST(AsyncResolver, Validation) {
   AsyncResolver::Config bad;
   bad.quorum = 0;
   EXPECT_THROW(AsyncResolver(clock, bad), std::invalid_argument);
+  AsyncResolver::Config no_attempts;
+  no_attempts.source.max_attempts = 0;
+  EXPECT_THROW(AsyncResolver(clock, no_attempts), std::invalid_argument);
   AsyncResolver resolver(clock, {});
   EXPECT_THROW(resolver.add_source(nullptr), std::invalid_argument);
   EXPECT_THROW(resolver.request(kPrefix, [](const auto&) {}), std::invalid_argument)

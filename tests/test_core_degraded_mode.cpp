@@ -64,8 +64,9 @@ struct Harness {
   /// knobs keep timing deterministic enough for run_until assertions.
   MoasDetector make(AsyncResolver::Config config = {},
                     AsyncResolver::SourceConfig source = tame_source()) {
+    config.source = source;
     async = std::make_shared<AsyncResolver>(clock, config);
-    async->add_source(std::make_shared<OracleResolver>(truth), source);
+    async->add_source(std::make_shared<OracleResolver>(truth));
     MoasDetector detector(alarms, nullptr);
     detector.set_async_resolver(async);
     return detector;
@@ -272,16 +273,13 @@ const topo::AsGraph& shared_topology() {
 
 ExperimentConfig outage_config() {
   ExperimentConfig config;
-  config.resolver = ResolverKind::Dns;
-  config.dns_unavailability = 0.2;
+  config.resolver = DnsBackend{.unavailability = 0.2};
   chaos::RegistryOutageConfig outage;
   outage.outages = 2.0;
   outage.outage_mean = 20.0;
   outage.spikes = 1.0;
-  config.engine = EventRun{.async_resolution = AsyncResolver::Config{},
-                           .async_fallback_irr = true,
-                           .registry_outage = outage,
-                           .trace_level = obs::TraceLevel::Summary};
+  const AsyncResolution async{.fallback_irr = IrrBackend{}, .outage = outage};
+  config.engine = EventRun{.async_resolution = async, .trace_level = obs::TraceLevel::Summary};
   return config;
 }
 

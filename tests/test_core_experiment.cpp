@@ -33,6 +33,19 @@ TEST(Experiment, ValidatesConfigAndTopology) {
   config = ExperimentConfig{};
   config.deployment_fraction = 1.5;
   EXPECT_THROW(Experiment(shared_topology(), config), std::invalid_argument);
+  // An engaged graceful restart needs a positive restart time.
+  config = ExperimentConfig{};
+  config.engine = EventRun{.graceful_restart = 0.0};
+  EXPECT_THROW(Experiment(shared_topology(), config), std::invalid_argument);
+  config.engine = EventRun{.graceful_restart = -1.0};
+  EXPECT_THROW(Experiment(shared_topology(), config), std::invalid_argument);
+  // Asynchronous resolution needs a registry to query.
+  config = ExperimentConfig{};
+  config.resolver = AlarmOnly{};
+  config.engine = EventRun{.async_resolution = AsyncResolution{}};
+  EXPECT_THROW(Experiment(shared_topology(), config), std::invalid_argument);
+  config.resolver = OracleBackend{};
+  EXPECT_NO_THROW(Experiment(shared_topology(), config));
 }
 
 TEST(Experiment, DrawOriginsPicksStubs) {

@@ -112,9 +112,7 @@ ExperimentConfig wave(ExperimentConfig config) {
 /// stripping communities, two origins (so a MOAS list is attached).
 ExperimentConfig dns_partial() {
   ExperimentConfig config;
-  config.resolver = ResolverKind::Dns;
-  config.dns_unavailability = 0.2;
-  config.dns_forgery = 0.1;
+  config.resolver = DnsBackend{.unavailability = 0.2, .forgery = 0.1};
   config.resolver_cache_ttl = 30.0;
   config.deployment = Deployment::Partial;
   config.deployment_fraction = 0.5;
@@ -128,9 +126,7 @@ ExperimentConfig dns_partial() {
 /// Gao–Rexford export policy.
 ExperimentConfig irr_subprefix() {
   ExperimentConfig config;
-  config.resolver = ResolverKind::Irr;
-  config.irr_staleness = 0.3;
-  config.irr_stale_origins = {64512};
+  config.resolver = IrrBackend{.staleness = 0.3, .stale_origins = {64512}};
   config.strategy = AttackerStrategy::SubPrefixHijack;
   config.converge_before_attack = true;
   config.policy = bgp::PolicyMode::GaoRexford;
@@ -156,19 +152,44 @@ TEST(ExperimentGolden, WaveIrrSubPrefixConvergedGaoRexford) {
 
 TEST(ExperimentGolden, EventAsyncFallbackUnderRegistryOutage) {
   ExperimentConfig config;
-  config.resolver = ResolverKind::Dns;
-  config.dns_unavailability = 0.3;
+  config.resolver = DnsBackend{.unavailability = 0.3};
   config.resolver_cache_ttl = 10.0;
-  config.irr_staleness = 0.2;
   chaos::RegistryOutageConfig outage;
   outage.outages = 2.0;
   outage.outage_mean = 20.0;
   outage.spikes = 1.0;
-  config.engine = EventRun{.async_resolution = AsyncResolver::Config{},
-                           .async_fallback_irr = true,
-                           .registry_outage = outage,
-                           .trace_level = obs::TraceLevel::Summary};
+  const AsyncResolution async{.fallback_irr = IrrBackend{.staleness = 0.2}, .outage = outage};
+  config.engine = EventRun{.async_resolution = async, .trace_level = obs::TraceLevel::Summary};
   EXPECT_EQ(run_case(config, 13), "8b184f42ea1152d0");
+}
+
+/// Alarm-only monitoring: capable routers raise alarms but have no registry
+/// to resolve them against.
+ExperimentConfig alarm_only() {
+  ExperimentConfig config;
+  config.resolver = AlarmOnly{};
+  return config;
+}
+
+TEST(ExperimentGolden, EventAlarmOnly) {
+  EXPECT_EQ(run_case(alarm_only(), 16), "e8f03b546b9c25ed");
+}
+
+TEST(ExperimentGolden, WaveAlarmOnly) {
+  EXPECT_EQ(run_case(wave(alarm_only()), 16), "d2c591f9c68c7716");
+}
+
+TEST(ExperimentGolden, EventFailFastAsyncDns) {
+  // ablation_resolvers' fail-fast arm without its outage schedule: one
+  // attempt per request, no circuit breaker, no stale answers.
+  ExperimentConfig config;
+  config.resolver = DnsBackend{.unavailability = 0.3};
+  AsyncResolution async;
+  async.resolver.source.max_attempts = 1;
+  async.resolver.source.breaker_threshold = 0;
+  async.resolver.stale_cache = false;
+  config.engine = EventRun{.async_resolution = async, .trace_level = obs::TraceLevel::Summary};
+  EXPECT_EQ(run_case(config, 17), "91e5e1239caa9452");
 }
 
 TEST(ExperimentGolden, EventChurnGracefulRestartRevisedErrorHandling) {
@@ -184,8 +205,7 @@ TEST(ExperimentGolden, EventChurnGracefulRestartRevisedErrorHandling) {
   churn.msg_reorder = 0.005;
   churn.msg_corrupt = 0.01;
   churn.attr_corruptions_per_link = 0.05;
-  config.engine = EventRun{.graceful_restart = true,
-                           .gr_restart_time = 30.0,
+  config.engine = EventRun{.graceful_restart = 30.0,
                            .revised_error_handling = true,
                            .churn = churn,
                            .check_invariants = true,

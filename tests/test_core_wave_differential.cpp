@@ -113,7 +113,7 @@ TEST(WaveDifferential, ShortestPathFullDeploymentSingleAttackerMatchesEventEngin
   ExperimentConfig config;
   config.policy = bgp::PolicyMode::ShortestPath;
   config.deployment = Deployment::Full;
-  config.resolver = ResolverKind::Oracle;
+  config.resolver = OracleBackend{};
   for (std::size_t num_origins : {std::size_t{1}, std::size_t{2}}) {
     config.num_origins = num_origins;
     for (std::size_t size : {std::size_t{250}, std::size_t{460}, std::size_t{630}}) {
@@ -145,7 +145,7 @@ TEST(WaveDifferential, MultiAttackerRacingAgreesOnAffectedTotal) {
   ExperimentConfig config;
   config.policy = bgp::PolicyMode::ShortestPath;
   config.deployment = Deployment::Full;
-  config.resolver = ResolverKind::Oracle;
+  config.resolver = OracleBackend{};
   for (std::size_t size : {std::size_t{250}, std::size_t{460}, std::size_t{630}}) {
     const topo::AsGraph& graph = sampled(size);
     const Experiment event(graph, event_arm(config));

@@ -180,12 +180,11 @@ TEST(Ablation, MraiDelaysButDoesNotChangeOutcome) {
 TEST(Ablation, DnsResolverDegradesGracefully) {
   ExperimentConfig config;
   config.deployment = Deployment::Full;
-  config.resolver = ResolverKind::Dns;
-  config.dns_unavailability = 0.5;
+  config.resolver = DnsBackend{.unavailability = 0.5};
   const double flaky = mean_adoption(topology(150), config, 0.2, 11);
-  config.dns_unavailability = 0.0;
+  config.resolver = DnsBackend{};
   const double perfect = mean_adoption(topology(150), config, 0.2, 11);
-  config.resolver = ResolverKind::None;  // alarm-only deployment
+  config.resolver = AlarmOnly{};  // alarm-only deployment
   const double alarm_only = mean_adoption(topology(150), config, 0.2, 11);
   EXPECT_LE(perfect, flaky + 1e-9);
   EXPECT_LE(flaky, alarm_only + 1e-9);
